@@ -83,11 +83,6 @@ pub struct ChaosConfig {
     pub submit_spacing: SimDuration,
     /// Hard stop for the run.
     pub horizon: SimDuration,
-    /// Run both worlds under the horizon scheduler
-    /// ([`Sim::set_horizon`]) instead of the legacy global-clock loop.
-    /// Outcomes must not depend on this — the engine modes are
-    /// bit-identical (see docs/ENGINE.md).
-    pub horizon_mode: bool,
 }
 
 impl ChaosConfig {
@@ -133,7 +128,6 @@ impl ChaosConfig {
             shards: 1,
             submit_spacing: SimDuration::from_secs(10),
             horizon: SimDuration::from_mins(60),
-            horizon_mode: false,
         }
     }
 
@@ -417,7 +411,6 @@ pub fn assert_metrics_registered(sim: &Sim) {
 pub fn run_lidc_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     let mut sim = Sim::new(cfg.seed);
     sim.set_threads(cfg.threads);
-    sim.set_horizon(cfg.horizon_mode);
     // Round-robin placement mirrors the baseline controller's policy, so
     // the *only* architectural difference is who makes the decision.
     let overlay = Overlay::build(&mut sim, OverlayConfig {
@@ -544,7 +537,6 @@ fn baseline_hook(k8s: BTreeMap<String, (ActorId, Vec<String>)>) -> FaultHook {
 pub fn run_baseline_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     let mut sim = Sim::new(cfg.seed);
     sim.set_threads(cfg.threads);
-    sim.set_horizon(cfg.horizon_mode);
     let alloc = FaceIdAlloc::new();
     let router = sim.spawn(
         "router",

@@ -689,71 +689,6 @@ fn bench_align(c: &mut Criterion) {
     g.finish();
 }
 
-/// One end-to-end multi-cluster pass for the horizon-scheduler benchmark:
-/// a 3-member WAN overlay (10/30/60 ms links), Nearest placement, private
-/// per-gateway predictors (`shared_predictor: false`) so the members'
-/// actor groups have real cross-cluster slack to exploit, and a spaced job
-/// stream driven to completion. Returns the completed-job count (sanity
-/// anchor: identical in every mode).
-fn horizon_pass(horizon: bool, threads: usize) -> u32 {
-    use lidc_core::client::{ClientConfig, ScienceClient, Submit};
-    use lidc_core::overlay::{ClusterSpec, Overlay, OverlayConfig};
-    use lidc_core::placement::PlacementPolicy;
-    use lidc_simcore::engine::Sim;
-
-    let mut sim = Sim::new(7);
-    sim.set_threads(threads);
-    sim.set_horizon(horizon);
-    let overlay = Overlay::build(&mut sim, OverlayConfig {
-        placement: PlacementPolicy::Nearest,
-        clusters: vec![
-            ClusterSpec::new("west", SimDuration::from_millis(10)).with_nodes(2, 16, 64),
-            ClusterSpec::new("east", SimDuration::from_millis(30)).with_nodes(2, 16, 64),
-            ClusterSpec::new("south", SimDuration::from_millis(60)).with_nodes(2, 16, 64),
-        ],
-        load_datasets: false,
-        shared_predictor: false,
-        ..Default::default()
-    });
-    let alloc = overlay.alloc.clone();
-    let client = ScienceClient::deploy(
-        ClientConfig {
-            fetch_results: false,
-            ..Default::default()
-        },
-        &mut sim,
-        overlay.router,
-        &alloc,
-        "bench",
-    );
-    for tag in 0..8u32 {
-        let request = ComputeRequest::new("HZB", 2, 4).with_param("tag", tag.to_string());
-        sim.send_after(SimDuration::from_secs(5).mul_f64(f64::from(tag)), client, Submit(request));
-    }
-    sim.run_for(SimDuration::from_mins(10));
-    sim.actor::<ScienceClient>(client)
-        .expect("client")
-        .runs()
-        .iter()
-        .filter(|r| r.is_success())
-        .count() as u32
-}
-
-/// Horizon scheduler vs the legacy global-clock loop on the 3-cluster
-/// end-to-end pass: `multi_cluster` is the legacy reference, `t1`/`t4` run
-/// the horizon scheduler at 1 and 4 worker threads. All three produce the
-/// identical schedule; the delta is pure engine bookkeeping/parallelism.
-fn bench_horizon(c: &mut Criterion) {
-    let completed = horizon_pass(false, 1);
-    assert_eq!(completed, horizon_pass(true, 1), "modes disagree");
-    let mut g = c.benchmark_group("engine/horizon");
-    g.sample_size(10);
-    g.bench_function("multi_cluster", |b| b.iter(|| black_box(horizon_pass(false, 1))));
-    g.bench_function("t1", |b| b.iter(|| black_box(horizon_pass(true, 1))));
-    g.bench_function("t4", |b| b.iter(|| black_box(horizon_pass(true, 4))));
-    g.finish();
-}
-
 /// End-to-end recovery cost: a full (small) chaos run — overlay deploy,
 /// job stream, node crash + permanent cluster outage, rerouting, and
 /// completion — measured as wall-clock per simulated recovery.
@@ -796,7 +731,6 @@ criterion_group!(
     bench_parallel_dispatch,
     bench_k8s_reconcile,
     bench_align,
-    bench_horizon,
     bench_chaos_recovery
 );
 criterion_main!(benches);

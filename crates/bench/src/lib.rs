@@ -177,12 +177,15 @@ impl FetchRecord {
 #[derive(Debug)]
 pub struct FetchData(pub Name);
 
-/// A minimal data-retrieval client: one Interest per [`FetchData`] message,
-/// recording latency and outcome. Used by the Fig. 2 dispatch experiment and
-/// the data-path microbenches.
+/// A minimal data-retrieval client: one record per [`FetchData`] message,
+/// recording latency and outcome. A fetch of a name already in flight
+/// rides the pending Interest, and its answer settles every waiting
+/// record. Used by the Fig. 2 dispatch experiment and the data-path
+/// microbenches.
 pub struct DataProbe {
     consumer: Option<Consumer>,
-    pending: HashMap<Name, usize>,
+    /// Pending name → every record waiting on it, in request order.
+    pending: HashMap<Name, Vec<usize>>,
     /// Completed fetch records.
     pub records: Vec<FetchRecord>,
 }
@@ -206,11 +209,17 @@ impl DataProbe {
     }
 
     fn resolve(&mut self, name: &Name, now: SimTime, nacked: bool, bytes: usize) {
-        if let Some(idx) = self.pending.remove(name) {
+        for idx in self.pending.remove(name).unwrap_or_default() {
             let rec = &mut self.records[idx];
             rec.answered_at = Some(now);
             rec.nacked = nacked;
             rec.bytes = bytes;
+        }
+    }
+
+    fn fail(&mut self, name: &Name) {
+        for idx in self.pending.remove(name).unwrap_or_default() {
+            self.records[idx].nacked = true;
         }
     }
 }
@@ -220,7 +229,9 @@ impl Actor for DataProbe {
         let msg = match msg.downcast::<FetchData>() {
             Ok(f) => {
                 let name = f.0;
-                self.pending.insert(name.clone(), self.records.len());
+                let waiters = self.pending.entry(name.clone()).or_default();
+                waiters.push(self.records.len());
+                let first = waiters.len() == 1;
                 self.records.push(FetchRecord {
                     name: name.clone(),
                     asked_at: ctx.now(),
@@ -228,11 +239,13 @@ impl Actor for DataProbe {
                     nacked: false,
                     bytes: 0,
                 });
-                let interest = Interest::new(name).with_lifetime(SimDuration::from_secs(4));
-                self.consumer
-                    .as_mut()
-                    .expect("deployed")
-                    .express(ctx, interest, 2);
+                if first {
+                    let interest = Interest::new(name).with_lifetime(SimDuration::from_secs(4));
+                    self.consumer
+                        .as_mut()
+                        .expect("deployed")
+                        .express(ctx, interest, 2);
+                }
                 return;
             }
             Err(m) => m,
@@ -246,9 +259,7 @@ impl Actor for DataProbe {
                         self.resolve(&name, ctx.now(), nacked, d.content.len());
                     }
                     Some(ConsumerEvent::Nack(_, i)) | Some(ConsumerEvent::Timeout(i)) => {
-                        if let Some(idx) = self.pending.remove(&i.name) {
-                            self.records[idx].nacked = true;
-                        }
+                        self.fail(&i.name);
                     }
                     None => {}
                 }
@@ -260,9 +271,7 @@ impl Actor for DataProbe {
             if let Some(ConsumerEvent::Timeout(i)) =
                 self.consumer.as_mut().expect("deployed").on_timer(ctx, &t)
             {
-                if let Some(idx) = self.pending.remove(&i.name) {
-                    self.records[idx].nacked = true;
-                }
+                self.fail(&i.name);
             }
         }
     }
@@ -305,6 +314,26 @@ mod tests {
         assert!(!records[0].nacked);
         assert!(records[0].bytes > 0);
         assert!(records[0].latency().unwrap() > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn data_probe_settles_every_duplicate_fetch() {
+        let mut sim = Sim::new(1);
+        let alloc = FaceIdAlloc::new();
+        let cluster = LidcCluster::deploy(&mut sim, &alloc, LidcClusterConfig::named("edge"));
+        let probe = DataProbe::deploy(&mut sim, cluster.gateway_fwd, &alloc, "probe");
+        let catalog =
+            lidc_datalake::catalog::Catalog::object_name(&lidc_core::naming::data_prefix());
+        sim.send(probe, FetchData(catalog.clone()));
+        sim.send(probe, FetchData(catalog));
+        sim.run();
+        let records = &sim.actor::<DataProbe>(probe).unwrap().records;
+        assert_eq!(records.len(), 2);
+        for (i, rec) in records.iter().enumerate() {
+            assert!(rec.answered_at.is_some(), "record {i} was stranded: {rec:?}");
+            assert!(!rec.nacked);
+            assert!(rec.bytes > 0);
+        }
     }
 
     #[test]

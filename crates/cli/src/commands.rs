@@ -61,10 +61,6 @@ fn build_world(args: &Args) -> Result<(Sim, Overlay, ActorId), String> {
     // waves (1 = serial; results are bit-identical at any count).
     let threads = args.get_u64("threads", 1)? as usize;
     sim.set_threads(threads);
-    // Horizon scheduler: loosely-coupled actor groups (one per overlay
-    // member) run ahead of the global clock within their WAN-latency
-    // lookahead. Bit-identical to the legacy loop at any thread count.
-    sim.set_horizon(args.has("horizon"));
     let defaults = OverlayConfig::default();
     // Access-router Content Store shape: entry capacity plus the byte
     // budget (0 = no byte limit; the default derives one 1 MiB segment per
@@ -314,7 +310,6 @@ pub fn chaos(args: &Args) -> CmdResult {
         .map_err(|_| "--jobs out of range".to_owned())?;
     cfg.threads = usize::try_from(args.get_u64("threads", 1)?).unwrap_or(1);
     cfg.shards = usize::try_from(args.get_u64("forwarder-shards", 1)?).unwrap_or(1);
-    cfg.horizon_mode = args.has("horizon");
     println!("fault schedule (seed {seed}):");
     for event in cfg.schedule.events() {
         println!("  {event}");
@@ -350,7 +345,7 @@ COMMANDS
   topology    show overlay members, latencies and routed prefixes
   chaos       LIDC vs centralized baseline under one deterministic fault
               schedule [--jobs N] [--threads N] [--forwarder-shards N]
-              [--horizon] [--schedule standard|byzantine|region-outage]
+              [--schedule standard|byzantine|region-outage]
   experiment  list the table/figure reproduction harnesses
   help        this text
 
@@ -363,9 +358,6 @@ COMMON FLAGS
                             (default capacity x 1 MiB; 0 = no byte limit)
   --threads N               engine workers for parallel same-instant dispatch
                             (default 1 = serial; results identical at any N)
-  --horizon                 horizon scheduler: per-cluster actor groups run
-                            ahead of the global clock within WAN-latency
-                            lookahead (results identical to the default loop)
   --forwarder-shards N      PIT/CS/DNL shards per forwarder (default 1; >1
                             enables the two-phase parallel burst ingress)"
     );

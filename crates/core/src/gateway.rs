@@ -74,7 +74,7 @@ use crate::status::{JobState, SubmitAck};
 use crate::validation::ValidatorRegistry;
 
 /// Shared handle to a predictor (placement strategies read it).
-// lidc-lint: allow(actor-isolation, horizon-safety) reason="read-mostly model shared between the gateway (writer) and the placement strategy (reader) within one virtual instant, never held across engine events; horizon runs clamp the sharing groups to zero lookahead (see Overlay::add_cluster and docs/ENGINE.md)"
+// lidc-lint: allow(actor-isolation) reason="read-mostly model shared between the gateway (writer) and the placement strategy (reader) within one virtual instant, never held across engine events"
 pub type SharedPredictor = Arc<RwLock<RuntimePredictor>>;
 
 /// Gateway tuning knobs.

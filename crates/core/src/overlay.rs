@@ -19,7 +19,7 @@ use parking_lot::RwLock;
 
 use lidc_ndn::face::{FaceId, FaceIdAlloc, LinkProps};
 use lidc_ndn::forwarder::{DegradeLink, Forwarder, ForwarderConfig, SetFaceUp};
-use lidc_simcore::engine::{ActorId, GroupId, Sim};
+use lidc_simcore::engine::{ActorId, Sim};
 use lidc_simcore::time::SimDuration;
 
 use crate::cluster::{LidcCluster, LidcClusterConfig};
@@ -113,18 +113,6 @@ pub struct OverlayConfig {
     /// two-phase (and, for large bursts, multi-threaded) ingress — see
     /// [`lidc_ndn::forwarder::ForwarderConfig::shards`].
     pub forwarder_shards: usize,
-    /// Gateways train the overlay-wide predictor (required by the
-    /// [`PlacementPolicy::Learned`] strategy). The shared predictor is
-    /// cross-group shared state that the horizon scheduler's link-latency
-    /// lookahead cannot see, so when `true` (the default) every overlay
-    /// group is clamped to zero lookahead against every other — correct in
-    /// both engine modes, but no cross-cluster slack. Benches that want
-    /// real horizon slack set this to `false` *and* use a placement that
-    /// reads no shared board ([`PlacementPolicy::Nearest`] /
-    /// [`PlacementPolicy::RoundRobin`] / [`PlacementPolicy::Adaptive`]);
-    /// with `false`, each gateway keeps its private predictor and
-    /// `Learned` placement would see an untrained model.
-    pub shared_predictor: bool,
 }
 
 impl Default for OverlayConfig {
@@ -137,7 +125,6 @@ impl Default for OverlayConfig {
             router_cs_capacity: 4096,
             router_cs_budget_bytes: lidc_ndn::tables::cs::default_budget_bytes(4096),
             forwarder_shards: 1,
-            shared_predictor: true,
         }
     }
 }
@@ -157,7 +144,6 @@ pub struct Overlay {
     pub predictor: SharedPredictor,
     faces: HashMap<String, FaceId>,
     cluster_faces: HashMap<String, FaceId>,
-    groups: HashMap<String, GroupId>,
     config: OverlayConfig,
 }
 
@@ -184,7 +170,6 @@ impl Overlay {
             predictor,
             faces: HashMap::new(),
             cluster_faces: HashMap::new(),
-            groups: HashMap::new(),
             config: config.clone(),
         };
         overlay.apply_placement(sim, config.placement);
@@ -211,19 +196,7 @@ impl Overlay {
 
     /// Deploy and join a new cluster (works mid-experiment: no client
     /// reconfiguration is needed — that is the point of the paper).
-    ///
-    /// Each member gets its own actor **group** named after the cluster:
-    /// every actor the deploy spawns (NFDs, gateway, fileserver, the whole
-    /// Kubernetes control plane and its nodes, and pods they spawn later)
-    /// lands in it, while the access router stays in the builder's group.
-    /// Under the horizon scheduler ([`Sim::set_horizon`]) members advance
-    /// independently within their WAN-latency lookahead (declared by
-    /// [`lidc_ndn::net::connect`]); shared-state couplings — the overlay
-    /// predictor and the [`LoadBoard`] — are clamped to zero lookahead so
-    /// both engine modes stay bit-identical (see docs/ENGINE.md).
     pub fn add_cluster(&mut self, sim: &mut Sim, spec: ClusterSpec) -> usize {
-        let group = sim.new_group(spec.name.clone());
-        let prev = sim.set_default_group(group);
         let cluster_config = LidcClusterConfig {
             name: spec.name.clone(),
             nodes: spec.nodes,
@@ -237,13 +210,11 @@ impl Overlay {
             ..Default::default()
         };
         let cluster = LidcCluster::deploy(sim, &self.alloc, cluster_config);
-        if self.config.shared_predictor {
-            // Every gateway trains the overlay-wide predictor, so the
-            // Learned placement strategy sees observations from all members.
-            sim.actor_mut::<crate::gateway::Gateway>(cluster.gateway_app)
-                .expect("gateway alive")
-                .set_predictor(self.predictor.clone());
-        }
+        // Every gateway trains the overlay-wide predictor, so the Learned
+        // placement strategy sees observations from all members.
+        sim.actor_mut::<crate::gateway::Gateway>(cluster.gateway_app)
+            .expect("gateway alive")
+            .set_predictor(self.predictor.clone());
         let (router_face, cluster_face) = lidc_ndn::net::connect(
             sim,
             self.router,
@@ -263,50 +234,10 @@ impl Overlay {
             router_face,
             self.config.load_report_interval,
         );
-        sim.set_default_group(prev);
-        self.clamp_shared_state_lookahead(sim, group);
         self.faces.insert(spec.name.clone(), router_face);
         self.cluster_faces.insert(spec.name.clone(), cluster_face);
-        self.groups.insert(spec.name.clone(), group);
         self.clusters.push(cluster);
         self.clusters.len() - 1
-    }
-
-    /// Zero out lookahead wherever shared memory couples this cluster's
-    /// group to another group behind the horizon scheduler's back.
-    ///
-    /// The causality assert only sees *messages*; the overlay predictor and
-    /// the [`LoadBoard`] are `Arc`-shared reads/writes with no message
-    /// carrying them, so a group running ahead could publish state that an
-    /// earlier-in-virtual-time reader then observes — diverging from the
-    /// legacy engine. Zero lookahead in both directions pins the coupled
-    /// groups to tie-step (global-order) interleaving, which is exactly the
-    /// legacy schedule for those events.
-    fn clamp_shared_state_lookahead(&self, sim: &mut Sim, group: GroupId) {
-        if self.config.shared_predictor {
-            // All gateways write the predictor, the router's Learned
-            // strategy reads it: clamp against every other group.
-            for other in sim.group_ids() {
-                if other != group {
-                    sim.set_lookahead(group, other, SimDuration::ZERO);
-                    sim.set_lookahead(other, group, SimDuration::ZERO);
-                }
-            }
-        } else if matches!(
-            self.config.placement,
-            PlacementPolicy::LeastLoaded | PlacementPolicy::Learned
-        ) {
-            // The load reporter (in this group) writes the board, the
-            // router's strategy (hub group) reads it.
-            let hub = sim.actor_group(self.router);
-            sim.set_lookahead(group, hub, SimDuration::ZERO);
-            sim.set_lookahead(hub, group, SimDuration::ZERO);
-        }
-    }
-
-    /// The actor group a member cluster's actors run in.
-    pub fn group_of(&self, cluster: &str) -> Option<GroupId> {
-        self.groups.get(cluster).copied()
     }
 
     /// The router-side face leading to a cluster.

@@ -65,7 +65,7 @@ impl std::fmt::Display for PlacementPolicy {
 /// 0 = idle, 1 = fully utilised, >1 = queueing.
 #[derive(Clone, Default)]
 pub struct LoadBoard {
-    // lidc-lint: allow(actor-isolation, horizon-safety) reason="models the NDN load-advertisement side channel: reporters publish and the router strategy reads point values keyed by face, with no cross-event lock holds; horizon runs clamp the sharing groups to zero lookahead (see Overlay::add_cluster and docs/ENGINE.md)"
+    // lidc-lint: allow(actor-isolation) reason="models the NDN load-advertisement side channel: reporters publish and the router strategy reads point values keyed by face, with no cross-event lock holds"
     inner: Arc<RwLock<HashMap<FaceId, f64>>>,
 }
 

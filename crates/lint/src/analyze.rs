@@ -145,7 +145,7 @@ pub fn analyze_files(files: &[SourceFile]) -> Vec<Finding> {
         .enumerate()
         .map(|(i, sf)| (sf.ctx.rel_path.as_str(), i))
         .collect();
-    for f in semantic::run(&ws, &cg, &mut allows_per) {
+    for f in semantic::run(&ws, &cg) {
         match by_path.get(f.file.as_str()) {
             Some(&i) => {
                 if !raw_per[i]

@@ -43,12 +43,6 @@ pub const EFFECT_PURITY: &str = "effect-purity";
 /// be recorded somewhere. The registry is the observability schema.
 pub const METRIC_KEY: &str = "metric-key";
 
-/// Horizon-mode coupling outside the declared lookahead matrix:
-/// `connect_runtime` callers (which bypass `net::connect`'s lookahead
-/// declaration), and `Arc<RwLock/Mutex>`-shaped shared state in
-/// `crates/core`/`crates/ndn` without a zero-clamp note in its allow.
-pub const HORIZON_SAFETY: &str = "horizon-safety";
-
 /// An allow directive that suppressed nothing. Stale allows are how
 /// scoped exemptions decay into blanket ones.
 pub const UNUSED_ALLOW: &str = "unused-allow";
@@ -66,7 +60,6 @@ pub const ALL: &[&str] = &[
     PANIC_PATH,
     EFFECT_PURITY,
     METRIC_KEY,
-    HORIZON_SAFETY,
     UNUSED_ALLOW,
     ALLOW_SYNTAX,
 ];
@@ -83,7 +76,6 @@ pub fn is_known(id: &str) -> bool {
         || id == PANIC_PATH
         || id == EFFECT_PURITY
         || id == METRIC_KEY
-        || id == HORIZON_SAFETY
 }
 
 /// One-line description per rule (the `--rules` listing).
@@ -110,9 +102,6 @@ pub fn describe(id: &str) -> &'static str {
         }
         _ if id == METRIC_KEY => {
             "metric key recorded but not registered in crates/simcore/src/metrics_keys.rs, or registered but never recorded"
-        }
-        _ if id == HORIZON_SAFETY => {
-            "connect_runtime bypassing net::connect's lookahead declaration, or Arc<RwLock/Mutex> shared state in crates/core|ndn without a zero-clamp note"
         }
         _ if id == UNUSED_ALLOW => "allow directive that suppressed no finding",
         _ if id == ALLOW_SYNTAX => "allow directive that does not parse",

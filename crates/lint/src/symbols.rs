@@ -105,10 +105,14 @@ fn module_of(rel_path: &str) -> Vec<String> {
     module
 }
 
+/// One file handed to [`Workspace::build`]: classification, lexed stream,
+/// and test regions.
+pub type FileInput = (FileCtx, Lexed, Vec<(u32, u32)>);
+
 impl Workspace {
     /// Build the symbol graph over `files` (classification + lexed stream +
     /// test regions per file, in scan order).
-    pub fn build(files: Vec<(FileCtx, Lexed, Vec<(u32, u32)>)>) -> Workspace {
+    pub fn build(files: Vec<FileInput>) -> Workspace {
         let mut ws = Workspace {
             files: Vec::new(),
             fns: Vec::new(),
@@ -640,9 +644,7 @@ pub fn base_ty_of(toks: &[Tok], win: &[usize]) -> Option<String> {
             }
         } else if t.is_punct('(') {
             // Tuple / fn-pointer type — no single base ident.
-            if last.is_none() {
-                return None;
-            }
+            last.as_ref()?;
         }
     }
     last

@@ -33,7 +33,7 @@ fn workspace_scan_is_deterministic() {
     assert_eq!(a, b, "a linter about determinism had better be deterministic");
 }
 
-/// The catalogue must carry all nine enforced rules (plus the two that
+/// The catalogue must carry all eight enforced rules (plus the two that
 /// police the allow directives themselves), and the workspace must be
 /// clean under every one of them — reported per rule so a regression
 /// names the contract it broke.
@@ -48,7 +48,6 @@ fn every_rule_is_cataloged_and_workspace_clean() {
         "panic-path",
         "effect-purity",
         "metric-key",
-        "horizon-safety",
     ];
     let police = ["unused-allow", "allow-syntax"];
     for r in enforced.iter().chain(&police) {

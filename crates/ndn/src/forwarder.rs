@@ -876,8 +876,9 @@ impl Forwarder {
     /// message when the engine delivers singly, per burst under batched
     /// dispatch). Per-bucket arrivals are nondecreasing, so same-arrival
     /// groups are contiguous runs — no hash pass, and each out-link's
-    /// fan-out walks independently (the wave-aware split: under the horizon
-    /// scheduler each link's `RxBatch` feeds a different group's queue).
+    /// fan-out walks independently: each link's `RxBatch` is one event for
+    /// one peer, which the peer receives as one batch and which can join a
+    /// same-instant wave alongside other peers' batches.
     fn flush_tx(&mut self, ctx: &mut Ctx<'_>) {
         if self.tx_buckets.is_empty() {
             return;

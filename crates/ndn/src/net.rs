@@ -21,14 +21,6 @@ use crate::packet::Packet;
 /// Connect two forwarders with a symmetric link (pre-run, by direct state
 /// access). Returns `(face on a, face on b)`.
 ///
-/// When the endpoints live in different actor *groups* (horizon mode), the
-/// link's base propagation delay is auto-declared as lookahead in both
-/// directions: packets crossing the link always arrive at least `latency`
-/// after the send, so the receiving group can safely run that far ahead.
-/// Runtime degradation (`latency_factor` ≥ 1.0) only widens the gap; a
-/// factor below 1.0 would violate the declaration and trips the engine's
-/// causality assert.
-///
 /// # Panics
 /// Panics if either actor is not a [`Forwarder`].
 pub fn connect(
@@ -38,12 +30,6 @@ pub fn connect(
     alloc: &FaceIdAlloc,
     props: LinkProps,
 ) -> (FaceId, FaceId) {
-    let (ga, gb) = (sim.actor_group(a), sim.actor_group(b));
-    if ga != gb {
-        let floor = props.latency.min(props.effective_latency());
-        sim.set_lookahead(ga, gb, floor);
-        sim.set_lookahead(gb, ga, floor);
-    }
     let fa = alloc.alloc();
     let fb = alloc.alloc();
     sim.actor_mut::<Forwarder>(a)
@@ -80,41 +66,6 @@ pub fn attach_app(sim: &mut Sim, fwd: ActorId, app: ActorId, alloc: &FaceIdAlloc
         .expect("fwd is a Forwarder")
         .add_face(Face::new(id, FaceKind::App { actor: app }));
     id
-}
-
-/// Connect two forwarders at runtime (from inside a handler), e.g. when a
-/// new cluster joins the overlay. Faces are installed via [`AddFace`]
-/// messages, so they become usable at the current instant plus one event.
-pub fn connect_runtime(
-    ctx: &mut Ctx<'_>,
-    a: ActorId,
-    b: ActorId,
-    alloc: &FaceIdAlloc,
-    props: LinkProps,
-) -> (FaceId, FaceId) {
-    let fa = alloc.alloc();
-    let fb = alloc.alloc();
-    ctx.send(a, AddFace {
-        face: Face::new(
-            fa,
-            FaceKind::Link {
-                peer: b,
-                peer_face: fb,
-                props,
-            },
-        ),
-    });
-    ctx.send(b, AddFace {
-        face: Face::new(
-            fb,
-            FaceKind::Link {
-                peer: a,
-                peer_face: fa,
-                props,
-            },
-        ),
-    });
-    (fa, fb)
 }
 
 /// Attach an application at runtime. Returns the new face id.

@@ -2,10 +2,10 @@
 //!
 //! Design notes:
 //!
-//! * **Determinism.** Events are dispatched in `(time, sequence)` order; the
-//!   sequence number is a monotone counter, so two events scheduled for the
-//!   same instant fire in scheduling order (FIFO). The engine is
-//!   single-threaded; all randomness comes from the engine's [`DetRng`].
+//! * **Determinism.** Events are dispatched in canonical-key order (see
+//!   below); two events one sender schedules for the same instant fire in
+//!   scheduling order (FIFO). All randomness comes from [`DetRng`] streams
+//!   derived from the seed.
 //! * **Messages are `Box<dyn Any + Send>`.** Each subsystem (NDN, K8s, LIDC)
 //!   defines its own message structs and downcasts on receipt. This keeps
 //!   `lidc-simcore` free of domain types and lets independently developed
@@ -87,65 +87,19 @@
 //! (reading state that only Exclusive actors write is safe — an Exclusive
 //! writer never overlaps a wave).
 //!
-//! # Horizon mode: conservative lookahead scheduling
+//! # The canonical event key
 //!
-//! [`Sim::set_horizon`] switches [`Sim::run`]/[`Sim::run_until`] from the
-//! single global event loop to a conservative (lookahead-based) **horizon
-//! scheduler**. Actors are partitioned into **groups**
-//! ([`Sim::new_group`] / [`Sim::assign_group`] / [`Sim::set_default_group`]);
-//! each group owns a local event queue and a committed horizon, and groups
-//! whose next event lies strictly below their **limit** advance
-//! independently — a group's limit is the smallest `N(g) + L*(g→h)` over
-//! *all* groups `g` (including `g = h`), where `N(g)` is `g`'s earliest
-//! unprocessed event time and `L*` is the declared **lookahead** matrix
-//! ([`Sim::set_lookahead`], derived from link latencies by the network
-//! layer; `∞` when the groups never communicate) closed under min-plus
-//! composition (Floyd–Warshall) at run entry, so an empty or relaying
-//! group never weakens the bound. The closure leaves the diagonal at the
-//! minimum *cycle* weight, making the `g = h` term `N(h)` + h's shortest
-//! round-trip — an event h processes can loop through a neighbour back
-//! into h's own queue, and the window must not outrun it. Deep dive:
-//! `docs/ENGINE.md`.
-//!
-//! **Equivalence.** Horizon mode is bit-identical to the legacy loop — same
-//! replies, same actor end states, same counters, same schedules — at any
-//! thread count, excepting the `sim.batch.*`/`sim.parallel.*`/
-//! `sim.horizon.*` dispatch-observability counters (batch *granularity* may
-//! coarsen inside a window, never message order) and raw histogram sample
-//! *order* (summaries are permutation-insensitive by construction). The
-//! guarantee rests on the canonical event key: every event is stamped
-//! `(time, sent_at, source, seq)` — delivery time, the instant the sender
-//! recorded the send, the sender's actor id (`u32::MAX` for harness sends),
-//! and a per-sender monotone counter. Both modes dispatch queued events in
-//! key order, so the global interleaving no longer depends on *when* an
-//! event was enqueued, only on who sent it and when — which is identical in
-//! both modes by induction.
-//!
-//! When no group can advance (every head is at its limit — e.g. groups
-//! coupled by zero lookahead, or everyone clamped at the foreground
-//! frontier), the scheduler falls back to **tie-steps**: it pops the
-//! globally minimal key, exactly reproducing the legacy loop event for
-//! event, batch boundary for batch boundary. A **barrier group**
-//! ([`Sim::set_barrier_group`]) declares zero lookahead to every other
-//! group, so nobody advances past its next event — the `FaultController`
-//! uses this to make zero-delay cross-group fault injections land at
-//! identical instants in both modes.
-//!
-//! With [`Sim::set_threads`] `> 1`, groups that can advance in the same
-//! round execute on the worker pool concurrently (safe because every
-//! cross-group effect provably arrives at or beyond the receiver's limit);
-//! runtime causality asserts back the proof. Dynamic actors: [`Ctx::spawn`]
-//! spawns into the **caller's group** at its committed horizon and works
-//! under serial horizon execution (threads = 1, or a single-CPU host where
-//! rounds inline); like waves, spawn/kill/halt panic from a pooled round.
-//! Cross-group [`Ctx::kill`] panics in horizon mode (the target may have
-//! advanced past the killer's clock); [`Ctx::halt`] stops the loop at the
-//! end of the current round (best-effort — groups ahead of the halting
-//! instant keep their progress).
+//! Every event is stamped `(time, sent_at, source, seq)`: delivery time,
+//! the instant the sender recorded the send, the sender's actor id
+//! (`u32::MAX` for harness sends), and a per-sender monotone counter.
+//! The queue pops events in key order, so the global interleaving depends
+//! only on who sent each event and when, never on when it was enqueued —
+//! the property that lets a wave merge buffered effects without
+//! renumbering anything. Deep dive: `docs/ENGINE.md`.
 
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;
@@ -241,29 +195,6 @@ impl<T: Actor> AnyActor for T {
     }
 }
 
-/// Identifies an actor group — the unit of independent time advancement in
-/// horizon mode (see the module docs). Group 0 ([`GroupId::DEFAULT`]) always
-/// exists; every actor belongs to exactly one group. In legacy mode groups
-/// are inert bookkeeping.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct GroupId(u32);
-
-impl GroupId {
-    /// The default group every actor joins unless told otherwise.
-    pub const DEFAULT: GroupId = GroupId(0);
-
-    /// Raw index (diagnostics).
-    pub fn index(self) -> u32 {
-        self.0
-    }
-}
-
-impl fmt::Debug for GroupId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "group#{}", self.0)
-    }
-}
-
 /// The `source` stamp for events enqueued from outside any handler
 /// ([`Sim::send`]/[`Sim::send_after`]). Sorts after every actor id, so a
 /// harness send at instant `t` lands after same-instant actor sends — the
@@ -271,8 +202,7 @@ impl fmt::Debug for GroupId {
 const HARNESS_SOURCE: u32 = u32::MAX;
 
 /// The canonical event key: `(time, sent_at, source, seq)`. Dispatch pops
-/// queued events in key order in *both* execution modes; see the module
-/// docs for why this makes horizon mode bit-identical to the legacy loop.
+/// queued events in key order; see the module docs.
 type EventKey = (SimTime, SimTime, u32, u64);
 
 enum Effect {
@@ -292,13 +222,9 @@ enum Effect {
         id: ActorId,
         label: String,
         actor: Box<dyn AnyActor>,
-        /// The spawner's group: children join their parent's group.
-        group: u32,
     },
     Kill {
         id: ActorId,
-        /// The killer's group: horizon mode rejects cross-group kills.
-        by_group: u32,
     },
     Halt,
 }
@@ -309,16 +235,14 @@ pub struct Ctx<'a> {
     now: SimTime,
     rng: &'a mut DetRng,
     metrics: &'a mut Metrics,
-    /// `None` when this context belongs to a parallel worker (a same-instant
-    /// wave, or a pooled horizon round): spawn (which must allocate from the
-    /// engine's id counter synchronously) is unavailable there, as are
-    /// kill/halt (see the module docs).
+    /// `None` when this context belongs to a same-instant wave worker:
+    /// spawn (which must allocate from the engine's id counter
+    /// synchronously) is unavailable there, as are kill/halt (see the
+    /// module docs).
     next_actor_id: Option<&'a mut u32>,
     /// This actor's per-sender send counter (part of the canonical event
     /// key; lives in the actor's slot and travels with it into workers).
     send_seq: &'a mut u64,
-    /// The handling actor's group (children spawn into it).
-    group: u32,
     effects: &'a mut Vec<Effect>,
 }
 
@@ -343,11 +267,6 @@ impl Ctx<'_> {
     /// Metrics registry.
     pub fn metrics(&mut self) -> &mut Metrics {
         self.metrics
-    }
-
-    /// The group of the actor currently handling a message.
-    pub fn group(&self) -> GroupId {
-        GroupId(self.group)
     }
 
     /// Record a send effect stamped with the canonical event key (see the
@@ -400,22 +319,14 @@ impl Ctx<'_> {
     /// Register a new actor; it starts receiving messages immediately.
     /// Returns its id synchronously so the spawner can address it.
     ///
-    /// The child joins the **caller's group**. In horizon mode it
-    /// materializes at the caller's committed horizon — it is addressable
-    /// and schedulable from the effect batch that spawned it onward, exactly
-    /// as under the legacy loop (pinned by the spawn-mid-advance regression
-    /// test).
-    ///
     /// # Panics
     ///
     /// Panics when called from a parallel worker — a
     /// [`Concurrency::Concurrent`] actor's handler inside a same-instant
-    /// wave, or any handler inside a pooled horizon round (threads > 1 on a
-    /// multi-core host): id allocation is inherently serial. Under serial
-    /// horizon execution spawn works from any handler.
+    /// wave: id allocation is inherently serial.
     pub fn spawn<A: Actor>(&mut self, label: impl Into<String>, actor: A) -> ActorId {
         let Some(counter) = self.next_actor_id.as_deref_mut() else {
-            panic!("Ctx::spawn is not available inside a parallel wave or pooled horizon round");
+            panic!("Ctx::spawn is not available inside a parallel wave");
         };
         let id = ActorId(*counter);
         *counter += 1;
@@ -423,7 +334,6 @@ impl Ctx<'_> {
             id,
             label: label.into(),
             actor: Box::new(actor),
-            group: self.group,
         });
         id
     }
@@ -433,26 +343,17 @@ impl Ctx<'_> {
     ///
     /// # Panics
     ///
-    /// Panics from a parallel worker (a kill applied mid-wave or mid-round
-    /// could not reproduce serial drop accounting). In horizon mode the
-    /// target must additionally be in the **caller's own group** — a
-    /// cross-group target may already have advanced past the caller's
-    /// clock, so the engine panics rather than diverge.
+    /// Panics from a parallel worker (a kill applied mid-wave could not
+    /// reproduce serial drop accounting).
     pub fn kill(&mut self, id: ActorId) {
         assert!(
             self.next_actor_id.is_some(),
-            "Ctx::kill is not available inside a parallel wave or pooled horizon round"
+            "Ctx::kill is not available inside a parallel wave"
         );
-        self.effects.push(Effect::Kill {
-            id,
-            by_group: self.group,
-        });
+        self.effects.push(Effect::Kill { id });
     }
 
-    /// Stop the simulation after the current handler completes. In horizon
-    /// mode the stop is best-effort: the loop exits at the end of the
-    /// current round, and groups that had already advanced past the halting
-    /// instant keep their progress.
+    /// Stop the simulation after the current handler completes.
     ///
     /// # Panics
     ///
@@ -461,7 +362,7 @@ impl Ctx<'_> {
     pub fn halt(&mut self) {
         assert!(
             self.next_actor_id.is_some(),
-            "Ctx::halt is not available inside a parallel wave or pooled horizon round"
+            "Ctx::halt is not available inside a parallel wave"
         );
         self.effects.push(Effect::Halt);
     }
@@ -535,32 +436,6 @@ struct Slot {
     rng: DetRng,
     /// Per-sender send counter (canonical event key component).
     send_seq: u64,
-    /// The group this actor belongs to (horizon-mode partitioning).
-    group: u32,
-}
-
-impl Slot {
-    /// Placeholder left in the roster while the real slot travels inside a
-    /// horizon group job; overwritten when the job's result merges back.
-    fn vacant(group: u32) -> Slot {
-        Slot {
-            actor: None,
-            label: String::new(),
-            drain: DrainStats::default(),
-            rng: DetRng::new(0),
-            send_seq: 0,
-            group,
-        }
-    }
-}
-
-/// Per-group metadata (label + barrier flag); the scheduling state lives in
-/// a run-scoped [`HzState`].
-struct GroupMeta {
-    label: String,
-    /// A barrier group declares zero lookahead to every other group: nobody
-    /// advances past its next event (the `FaultController` contract).
-    barrier: bool,
 }
 
 /// The discrete-event simulator.
@@ -591,17 +466,6 @@ pub struct Sim {
     pool: Option<Pool<WaveJob, WaveOut>>,
     /// Recycled message buffers for wave runs beyond the first.
     wave_bufs: Vec<Vec<Msg>>,
-    /// Horizon-mode switch (see the module docs); off by default.
-    horizon: bool,
-    /// Group table (index = group id); group 0 always exists.
-    groups: Vec<GroupMeta>,
-    /// The group newly spawned top-level actors join.
-    default_group: u32,
-    /// Declared lookahead edges `(from, to, nanos)`; min-combined and closed
-    /// under min-plus composition at run entry.
-    lookahead: Vec<(u32, u32, u64)>,
-    /// Lazily created pool for parallel horizon rounds.
-    horizon_pool: Option<Pool<GroupJob, GroupOut>>,
 }
 
 impl Sim {
@@ -626,169 +490,7 @@ impl Sim {
             threads: 1,
             pool: None,
             wave_bufs: Vec::new(),
-            horizon: false,
-            groups: vec![GroupMeta {
-                label: "default".to_owned(),
-                barrier: false,
-            }],
-            default_group: 0,
-            lookahead: Vec::new(),
-            horizon_pool: None,
         }
-    }
-
-    /// Enable or disable the horizon scheduler for [`Sim::run`] /
-    /// [`Sim::run_until`] (off by default; see the module docs). Both modes
-    /// are bit-identical; the legacy loop stays available as the reference
-    /// oracle.
-    pub fn set_horizon(&mut self, on: bool) {
-        self.horizon = on;
-    }
-
-    /// Whether the horizon scheduler is enabled.
-    pub fn horizon(&self) -> bool {
-        self.horizon
-    }
-
-    /// Create a new actor group (horizon-mode partitioning; inert in legacy
-    /// mode).
-    pub fn new_group(&mut self, label: impl Into<String>) -> GroupId {
-        let id = self.groups.len() as u32;
-        self.groups.push(GroupMeta {
-            label: label.into(),
-            barrier: false,
-        });
-        GroupId(id)
-    }
-
-    /// Set the group newly spawned top-level actors join; returns the
-    /// previous default so callers can scope the change:
-    ///
-    /// ```ignore
-    /// let prev = sim.set_default_group(g);
-    /// // ... deploy a subsystem: every spawn lands in `g` ...
-    /// sim.set_default_group(prev);
-    /// ```
-    pub fn set_default_group(&mut self, g: GroupId) -> GroupId {
-        assert!((g.0 as usize) < self.groups.len(), "unknown group {g:?}");
-        let prev = GroupId(self.default_group);
-        self.default_group = g.0;
-        prev
-    }
-
-    /// The group newly spawned top-level actors currently join.
-    pub fn default_group(&self) -> GroupId {
-        GroupId(self.default_group)
-    }
-
-    /// Move an actor to `g`. Call during world construction, before events
-    /// for the actor are queued — queued events are partitioned by the
-    /// target's group at run entry.
-    pub fn assign_group(&mut self, id: ActorId, g: GroupId) {
-        assert!((g.0 as usize) < self.groups.len(), "unknown group {g:?}");
-        let idx = id.0 as usize;
-        self.ensure_slot(idx);
-        self.slots[idx].group = g.0;
-    }
-
-    /// The group an actor belongs to.
-    pub fn actor_group(&self, id: ActorId) -> GroupId {
-        GroupId(self.group_of(id))
-    }
-
-    /// A group's registration label.
-    pub fn group_label(&self, g: GroupId) -> &str {
-        &self.groups[g.0 as usize].label
-    }
-
-    /// Number of groups (including the default group).
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// All group ids in creation order (index 0 = the default group).
-    pub fn group_ids(&self) -> Vec<GroupId> {
-        (0..self.groups.len() as u32).map(GroupId).collect()
-    }
-
-    /// Declare that every message from an actor in `from` to an actor in
-    /// `to` is delayed by at least `min_latency` — the **lookahead** the
-    /// horizon scheduler exploits (typically a link's floor latency; the
-    /// network layer declares this when connecting faces across groups).
-    /// Repeated declarations min-combine; undeclared pairs default to `∞`
-    /// (no communication). Declaring *less* than the true minimum is always
-    /// safe (it only costs slack); declaring more trips the runtime
-    /// causality assert.
-    pub fn set_lookahead(&mut self, from: GroupId, to: GroupId, min_latency: SimDuration) {
-        assert!((from.0 as usize) < self.groups.len(), "unknown group {from:?}");
-        assert!((to.0 as usize) < self.groups.len(), "unknown group {to:?}");
-        if from == to {
-            return;
-        }
-        self.lookahead.push((from.0, to.0, min_latency.as_nanos()));
-    }
-
-    /// Mark `g` as a **barrier group**: zero lookahead to every other group,
-    /// so no group advances past `g`'s next queued event. Actors in `g` may
-    /// then send zero-delay messages to any group (the `FaultController`
-    /// injection contract).
-    pub fn set_barrier_group(&mut self, g: GroupId) {
-        assert!((g.0 as usize) < self.groups.len(), "unknown group {g:?}");
-        self.groups[g.0 as usize].barrier = true;
-    }
-
-    /// The group an actor id maps to (default group for unknown ids).
-    fn group_of(&self, id: ActorId) -> u32 {
-        self.slots.get(id.0 as usize).map(|s| s.group).unwrap_or(0)
-    }
-
-    /// The declared lookahead matrix (row-major `from * n + to`, nanos,
-    /// `u64::MAX` = ∞), with barrier rows zeroed and closed under min-plus
-    /// composition (Floyd–Warshall) so relaying through an idle group never
-    /// weakens a bound — the property that lets an empty group impose no
-    /// constraint.
-    ///
-    /// The diagonal is **not** seeded with zero: `m[g][g]` closes to the
-    /// minimum *cycle* weight through other groups (∞ when no cycle
-    /// exists). A group's window limit must respect its own head plus that
-    /// cycle lookahead — an event the group processes at `t` can round-trip
-    /// through a neighbour and land back in its own queue at
-    /// `t + cycle`, which the window must not have run past.
-    fn closed_lookahead(&self) -> Vec<u64> {
-        let n = self.groups.len();
-        let mut m = vec![u64::MAX; n * n];
-        for &(f, t, lat) in &self.lookahead {
-            let cell = &mut m[f as usize * n + t as usize];
-            *cell = (*cell).min(lat);
-        }
-        for (g, meta) in self.groups.iter().enumerate() {
-            if meta.barrier {
-                for k in 0..n {
-                    if k != g {
-                        m[g * n + k] = 0;
-                    }
-                }
-            }
-        }
-        for k in 0..n {
-            for i in 0..n {
-                let ik = m[i * n + k];
-                if ik == u64::MAX {
-                    continue;
-                }
-                for j in 0..n {
-                    let kj = m[k * n + j];
-                    if kj == u64::MAX {
-                        continue;
-                    }
-                    let via = ik.saturating_add(kj);
-                    if via < m[i * n + j] {
-                        m[i * n + j] = via;
-                    }
-                }
-            }
-        }
-        m
     }
 
     /// Enable or disable same-instant batch coalescing (on by default).
@@ -808,7 +510,6 @@ impl Sim {
         if n != self.threads {
             self.threads = n;
             self.pool = None;
-            self.horizon_pool = None;
         }
     }
 
@@ -842,12 +543,11 @@ impl Sim {
         &self.metrics
     }
 
-    /// Register a top-level actor (into the current default group — see
-    /// [`Sim::set_default_group`]) and invoke its `on_start`.
+    /// Register a top-level actor and invoke its `on_start`.
     pub fn spawn<A: Actor>(&mut self, label: impl Into<String>, actor: A) -> ActorId {
         let id = ActorId(self.next_actor_id);
         self.next_actor_id += 1;
-        self.install(id, label.into(), Box::new(actor), self.default_group);
+        self.install(id, label.into(), Box::new(actor));
         id
     }
 
@@ -864,12 +564,11 @@ impl Sim {
                 drain: DrainStats::default(),
                 rng: self.actor_rng_root.derive(id),
                 send_seq: 0,
-                group: 0,
             });
         }
     }
 
-    fn install(&mut self, id: ActorId, label: String, actor: Box<dyn AnyActor>, group: u32) {
+    fn install(&mut self, id: ActorId, label: String, actor: Box<dyn AnyActor>) {
         let idx = id.0 as usize;
         self.ensure_slot(idx);
         debug_assert!(self.slots[idx].actor.is_none(), "actor id reused");
@@ -879,7 +578,6 @@ impl Sim {
             drain: DrainStats::default(),
             rng: self.actor_rng_root.derive(u64::from(id.0)),
             send_seq: 0,
-            group,
         };
         self.run_start_hook(id);
     }
@@ -891,7 +589,6 @@ impl Sim {
         };
         let mut rng = self.slots[idx].rng.clone();
         let mut send_seq = self.slots[idx].send_seq;
-        let group = self.slots[idx].group;
         let mut effects = Vec::new();
         {
             let mut ctx = Ctx {
@@ -901,7 +598,6 @@ impl Sim {
                 metrics: &mut self.metrics,
                 next_actor_id: Some(&mut self.next_actor_id),
                 send_seq: &mut send_seq,
-                group,
                 effects: &mut effects,
             };
             actor.on_start(&mut ctx);
@@ -1009,15 +705,10 @@ impl Sim {
                         background,
                     }));
                 }
-                Effect::Spawn {
-                    id,
-                    label,
-                    actor,
-                    group,
-                } => {
-                    self.install(id, label, actor, group);
+                Effect::Spawn { id, label, actor } => {
+                    self.install(id, label, actor);
                 }
-                Effect::Kill { id, .. } => {
+                Effect::Kill { id } => {
                     if let Some(slot) = self.slots.get_mut(id.0 as usize) {
                         slot.actor = None;
                     }
@@ -1104,20 +795,12 @@ impl Sim {
             }
             batch = runs.pop().expect("first run").1;
         }
-        self.deliver_serial(to, batch);
+        self.deliver_batch(to, batch);
         true
     }
 
-    /// Deliver one coalesced batch on the caller's thread (serial path).
-    fn deliver_serial(&mut self, to: ActorId, batch: Vec<Msg>) {
-        self.deliver_batch(to, batch, None);
-    }
-
-    /// Deliver one coalesced batch on the caller's thread. With `hz` set
-    /// (horizon tie-step) effects route through the group queues; without it
-    /// (legacy loop) they land in the global queue. One implementation so
-    /// the two modes cannot drift apart.
-    fn deliver_batch(&mut self, to: ActorId, mut batch: Vec<Msg>, hz: Option<&mut HzState>) {
+    /// Deliver one coalesced batch on the caller's thread.
+    fn deliver_batch(&mut self, to: ActorId, mut batch: Vec<Msg>) {
         self.events_processed += batch.len() as u64;
         let idx = to.0 as usize;
         let taken = self.slots.get_mut(idx).and_then(|s| s.actor.take());
@@ -1141,7 +824,6 @@ impl Sim {
         }
         let mut rng = self.slots[idx].rng.clone();
         let mut send_seq = self.slots[idx].send_seq;
-        let group = self.slots[idx].group;
         let mut effects = Vec::new();
         {
             let mut ctx = Ctx {
@@ -1151,7 +833,6 @@ impl Sim {
                 metrics: &mut self.metrics,
                 next_actor_id: Some(&mut self.next_actor_id),
                 send_seq: &mut send_seq,
-                group,
                 effects: &mut effects,
             };
             if batch.len() == 1 {
@@ -1172,10 +853,7 @@ impl Sim {
             self.slots[idx].actor = Some(actor);
         }
         // A self-kill effect is applied after reinstatement, so it still wins.
-        match hz {
-            Some(hz) => self.apply_effects_hz(hz, effects),
-            None => self.apply_effects(effects),
-        }
+        self.apply_effects(effects);
     }
 
     /// Execute a collected wave of ≥ 2 distinct-actor runs concurrently and
@@ -1195,7 +873,6 @@ impl Sim {
                     actor,
                     rng,
                     send_seq: slot.send_seq,
-                    group: slot.group,
                 }
             })
             .collect();
@@ -1253,13 +930,8 @@ impl Sim {
     /// Background (daemon) timers — see [`Ctx::schedule_self_background`] —
     /// are processed in order while foreground events remain, but pending
     /// background timers alone do not keep the run alive. Returns the number
-    /// of events processed by this call. With [`Sim::set_horizon`] enabled,
-    /// the horizon scheduler runs instead of the global loop (bit-identical
-    /// results; see the module docs).
+    /// of events processed by this call.
     pub fn run(&mut self) -> u64 {
-        if self.horizon {
-            return self.run_horizon(Cap::Foreground);
-        }
         let start = self.events_processed;
         while self.foreground_queued > 0 && self.step() {}
         self.events_processed - start
@@ -1268,13 +940,6 @@ impl Sim {
     /// Run until virtual time would exceed `deadline` (events at exactly
     /// `deadline` are processed). Later events stay queued.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        if self.horizon {
-            let n = self.run_horizon(Cap::Deadline(deadline));
-            if self.now < deadline && !self.halted {
-                self.now = deadline;
-            }
-            return n;
-        }
         let start = self.events_processed;
         loop {
             if self.halted {
@@ -1354,365 +1019,6 @@ impl Sim {
     pub fn foreground_queue_len(&self) -> usize {
         self.foreground_queued
     }
-
-    // ---- Horizon scheduler (see the module docs) --------------------------
-
-    /// Run the conservative horizon scheduler until `cap` is reached.
-    /// Returns the number of events processed by this call.
-    fn run_horizon(&mut self, cap: Cap) -> u64 {
-        let start = self.events_processed;
-        let n = self.groups.len();
-        let la = self.closed_lookahead();
-        let mut hz = HzState {
-            gq: (0..n).map(|_| BinaryHeap::new()).collect(),
-            committed: vec![SimTime::ZERO; n],
-            members: vec![Vec::new(); n],
-            fg_times: BTreeMap::new(),
-            track_fg: matches!(cap, Cap::Foreground),
-        };
-        // Partition the global queue and the actor roster by group.
-        for Reverse(ev) in std::mem::take(&mut self.queue) {
-            if !ev.background {
-                hz.fg_add(ev.time);
-            }
-            let g = self.group_of(ev.to) as usize;
-            hz.gq[g].push(Reverse(ev));
-        }
-        for (idx, slot) in self.slots.iter().enumerate() {
-            hz.members[slot.group as usize].push(idx as u32);
-        }
-        let mut head_times: Vec<Option<SimTime>> = vec![None; n];
-        let mut runnable: Vec<(u32, SimTime)> = Vec::new();
-        loop {
-            if self.halted {
-                break;
-            }
-            // The hard cap every window shares this round.
-            let cap_time = match cap {
-                Cap::Foreground => {
-                    if self.foreground_queued == 0 {
-                        break;
-                    }
-                    // The foreground frontier F_max: windows stay strictly
-                    // below it; events at F_max drain via tie-steps.
-                    let (&t, _) = hz.fg_times.last_key_value().expect("fg frontier");
-                    SimTime::from_nanos(t)
-                }
-                // Exclusive bound: events at exactly `deadline` still run.
-                Cap::Deadline(d) => d.next_instant(),
-            };
-            for (g, head) in head_times.iter_mut().enumerate() {
-                *head = hz.gq[g].peek().map(|Reverse(e)| e.time);
-            }
-            if matches!(cap, Cap::Deadline(_))
-                && !head_times.iter().any(|h| h.is_some_and(|t| t < cap_time))
-            {
-                break;
-            }
-            // limit(h) = min over all g (h included — the self term is
-            // head(h) + h's minimum cycle lookahead, guarding round-trips
-            // back into h's own queue) of head(g) + L*(g→h), capped at
-            // cap_time; group h may process events strictly below it.
-            runnable.clear();
-            for h in 0..n {
-                let Some(nh) = head_times[h] else { continue };
-                let mut lim = cap_time;
-                for (g, head) in head_times.iter().enumerate() {
-                    let l = la[g * n + h];
-                    if l == u64::MAX {
-                        continue;
-                    }
-                    if let Some(ng) = *head {
-                        lim = lim.min(ng.saturating_add(SimDuration::from_nanos(l)));
-                    }
-                }
-                if nh < lim {
-                    runnable.push((h as u32, lim));
-                }
-            }
-            if runnable.is_empty() {
-                // Nobody can window-advance: dispatch the globally minimal
-                // key exactly as the legacy loop would.
-                if !self.horizon_tie_step(&mut hz) {
-                    break;
-                }
-            } else {
-                self.horizon_round(&mut hz, &runnable);
-            }
-        }
-        // Hand local queues back: between runs the harness sees one global
-        // queue, exactly as in legacy mode.
-        for q in &mut hz.gq {
-            for ev in std::mem::take(q) {
-                self.queue.push(ev);
-            }
-        }
-        self.events_processed - start
-    }
-
-    /// Advance every runnable group through its window `[head, limit)`.
-    /// Rounds of ≥ 2 groups go to the worker pool when the host has real
-    /// parallelism; otherwise jobs run inline in group order with spawn
-    /// available (the id counter threaded through).
-    fn horizon_round(&mut self, hz: &mut HzState, runnable: &[(u32, SimTime)]) {
-        let mut jobs: Vec<GroupJob> = Vec::with_capacity(runnable.len());
-        for &(g, limit) in runnable {
-            let gi = g as usize;
-            let mut slots = Vec::with_capacity(hz.members[gi].len());
-            for &id in &hz.members[gi] {
-                let slot = std::mem::replace(&mut self.slots[id as usize], Slot::vacant(g));
-                slots.push((id, slot));
-            }
-            jobs.push(GroupJob {
-                group: g,
-                limit,
-                batching: self.batching,
-                queue: std::mem::take(&mut hz.gq[gi]),
-                slots,
-                rng_root: self.actor_rng_root.clone(),
-            });
-        }
-        let pooled = self.threads > 1 && host_parallelism() > 1 && jobs.len() >= 2;
-        let outs: Vec<GroupOut> = if pooled {
-            let threads = self.threads;
-            let pool = self.horizon_pool.get_or_insert_with(|| {
-                Pool::new(threads, "sim-horizon", execute_group_job_pooled)
-            });
-            pool.run(jobs)
-        } else {
-            jobs.into_iter()
-                .map(|job| execute_group_job(job, Some(&mut self.next_actor_id)))
-                .collect()
-        };
-        // Two passes: fold every group's state back first, then route the
-        // buffered cross-group effects (a send from group A to group B must
-        // not race B's own queue hand-back).
-        let mut effects: Vec<Vec<Effect>> = Vec::with_capacity(outs.len());
-        for out in outs {
-            effects.push(self.merge_group_state(hz, out));
-        }
-        for eff in effects {
-            self.apply_effects_hz(hz, eff);
-        }
-        self.metrics.incr("sim.horizon.rounds", 1);
-    }
-
-    /// Fold one window's buffered result back into the engine; returns the
-    /// job's cross-group effects for routing after every state merge.
-    fn merge_group_state(&mut self, hz: &mut HzState, out: GroupOut) -> Vec<Effect> {
-        let gi = out.group as usize;
-        hz.gq[gi] = out.queue;
-        for (id, slot) in out.slots {
-            let idx = id as usize;
-            self.ensure_slot(idx);
-            self.slots[idx] = slot;
-        }
-        for id in out.spawned {
-            hz.members[gi].push(id);
-        }
-        // Enqueued before processed: an event both created and consumed
-        // inside the window must not transiently underflow the frontier.
-        self.foreground_queued += out.fg_enqueued.len();
-        for t in out.fg_enqueued {
-            hz.fg_add(t);
-        }
-        self.foreground_queued -= out.fg_processed.len();
-        for t in out.fg_processed {
-            hz.fg_remove(t);
-        }
-        self.events_processed += out.delivered;
-        hz.committed[gi] = hz.committed[gi].max(out.committed);
-        self.metrics.merge(out.metrics);
-        self.metrics.incr("sim.horizon.advances", 1);
-        out.effects_out
-    }
-
-    /// One tie-step: dispatch the globally minimal-key run exactly as the
-    /// legacy loop would, batch boundary included (see the module docs).
-    /// Returns `false` when every group queue is empty.
-    fn horizon_tie_step(&mut self, hz: &mut HzState) -> bool {
-        // The minimal head key picks the group; the runner-up head key is
-        // the coalescing boundary (the first event the legacy loop would
-        // have seen from elsewhere in the global queue).
-        let mut min_group: Option<usize> = None;
-        let mut best: Option<EventKey> = None;
-        let mut boundary: Option<EventKey> = None;
-        for (g, q) in hz.gq.iter().enumerate() {
-            let Some(Reverse(head)) = q.peek() else {
-                continue;
-            };
-            let k = head.key();
-            match best {
-                None => {
-                    best = Some(k);
-                    min_group = Some(g);
-                }
-                Some(b) if k < b => {
-                    boundary = Some(b);
-                    best = Some(k);
-                    min_group = Some(g);
-                }
-                Some(_) => {
-                    let closer = match boundary {
-                        None => true,
-                        Some(x) => k < x,
-                    };
-                    if closer {
-                        boundary = Some(k);
-                    }
-                }
-            }
-        }
-        let Some(m) = min_group else {
-            return false;
-        };
-        let Some(Reverse(ev)) = hz.gq[m].pop() else {
-            unreachable!("peeked head")
-        };
-        debug_assert!(ev.time >= self.now, "event from the past");
-        self.now = ev.time;
-        if !ev.background {
-            self.foreground_queued -= 1;
-            hz.fg_remove(ev.time);
-        }
-        let (time, to) = (ev.time, ev.to);
-        let mut batch = std::mem::take(&mut self.batch_buf);
-        batch.clear();
-        batch.push(ev.msg);
-        if self.batching {
-            while let Some(Reverse(head)) = hz.gq[m].peek() {
-                if head.time != time || head.to != to {
-                    break;
-                }
-                if boundary.is_some_and(|b| head.key() > b) {
-                    break;
-                }
-                let Reverse(next) = hz.gq[m].pop().expect("peeked");
-                if !next.background {
-                    self.foreground_queued -= 1;
-                    hz.fg_remove(time);
-                }
-                batch.push(next.msg);
-            }
-        }
-        hz.committed[m] = hz.committed[m].max(time);
-        self.metrics.incr("sim.horizon.tie_steps", 1);
-        self.deliver_batch(to, batch, Some(hz));
-        true
-    }
-
-    /// Horizon-aware effect application (tie-steps, `on_start` hooks, and
-    /// window-merge routing): sends land in the *target's* group queue
-    /// behind a causality check, spawns install into the spawner's group,
-    /// kills must stay in-group.
-    fn apply_effects_hz(&mut self, hz: &mut HzState, effects: Vec<Effect>) {
-        for effect in effects {
-            match effect {
-                Effect::Send {
-                    at,
-                    to,
-                    msg,
-                    background,
-                    sent_at,
-                    source,
-                    seq,
-                } => {
-                    let tg = self.group_of(to) as usize;
-                    assert!(
-                        at >= hz.committed[tg],
-                        "horizon causality violation: event for {to:?} at {at} is behind \
-                         group '{}' (committed {}); a declared lookahead exceeds the real \
-                         minimum latency on some path",
-                        self.groups[tg].label,
-                        hz.committed[tg],
-                    );
-                    if !background {
-                        self.foreground_queued += 1;
-                        hz.fg_add(at);
-                    }
-                    hz.gq[tg].push(Reverse(Scheduled {
-                        time: at,
-                        sent_at,
-                        source,
-                        seq,
-                        to,
-                        msg,
-                        background,
-                    }));
-                }
-                Effect::Spawn {
-                    id,
-                    label,
-                    actor,
-                    group,
-                } => {
-                    self.install_hz(hz, id, label, actor, group);
-                }
-                Effect::Kill { id, by_group } => {
-                    if let Some(slot) = self.slots.get_mut(id.0 as usize) {
-                        assert!(
-                            slot.actor.is_none() || slot.group == by_group,
-                            "cross-group Ctx::kill is not supported in horizon mode \
-                             (target {id:?} is outside the caller's group)"
-                        );
-                        slot.actor = None;
-                    }
-                }
-                Effect::Halt => self.halted = true,
-            }
-        }
-    }
-
-    /// Install a spawned actor during a horizon run: like [`Sim::install`],
-    /// but the `on_start` effects route through the group queues and the
-    /// group roster learns the new member.
-    fn install_hz(
-        &mut self,
-        hz: &mut HzState,
-        id: ActorId,
-        label: String,
-        actor: Box<dyn AnyActor>,
-        group: u32,
-    ) {
-        let idx = id.0 as usize;
-        self.ensure_slot(idx);
-        debug_assert!(self.slots[idx].actor.is_none(), "actor id reused");
-        self.slots[idx] = Slot {
-            actor: Some(actor),
-            label,
-            drain: DrainStats::default(),
-            rng: self.actor_rng_root.derive(u64::from(id.0)),
-            send_seq: 0,
-            group,
-        };
-        hz.members[group as usize].push(id.0);
-        // on_start, mirroring run_start_hook but with horizon routing.
-        let Some(mut actor) = self.slots[idx].actor.take() else {
-            return;
-        };
-        let mut rng = self.slots[idx].rng.clone();
-        let mut send_seq = self.slots[idx].send_seq;
-        let mut effects = Vec::new();
-        {
-            let mut ctx = Ctx {
-                self_id: id,
-                now: self.now,
-                rng: &mut rng,
-                metrics: &mut self.metrics,
-                next_actor_id: Some(&mut self.next_actor_id),
-                send_seq: &mut send_seq,
-                group,
-                effects: &mut effects,
-            };
-            actor.on_start(&mut ctx);
-        }
-        self.slots[idx].rng = rng;
-        self.slots[idx].send_seq = send_seq;
-        if self.slots[idx].actor.is_none() {
-            self.slots[idx].actor = Some(actor);
-        }
-        self.apply_effects_hz(hz, effects);
-    }
 }
 
 /// The host's usable core count (cached): waves execute on the pool only
@@ -1728,377 +1034,6 @@ fn host_parallelism() -> usize {
     })
 }
 
-/// What bounds a horizon run: foreground drain ([`Sim::run`]) or an
-/// inclusive deadline ([`Sim::run_until`]).
-enum Cap {
-    Foreground,
-    Deadline(SimTime),
-}
-
-/// Run-scoped horizon scheduler state (see the module docs): per-group
-/// local queues and committed horizons, the group rosters, and — for
-/// foreground-capped runs — the foreground frontier multiset.
-struct HzState {
-    /// Per-group local event queues (index = group id).
-    gq: Vec<BinaryHeap<Reverse<Scheduled>>>,
-    /// Per-group max dispatched instant (floor for the causality check).
-    committed: Vec<SimTime>,
-    /// Per-group member actor ids, ascending (ids allocate monotonically).
-    members: Vec<Vec<u32>>,
-    /// Queued-foreground-event count per instant; the largest key is the
-    /// frontier `F_max`. Maintained only under [`Cap::Foreground`].
-    fg_times: BTreeMap<u64, u32>,
-    track_fg: bool,
-}
-
-impl HzState {
-    fn fg_add(&mut self, t: SimTime) {
-        if self.track_fg {
-            *self.fg_times.entry(t.as_nanos()).or_insert(0) += 1;
-        }
-    }
-
-    fn fg_remove(&mut self, t: SimTime) {
-        if self.track_fg {
-            let nanos = t.as_nanos();
-            let count = self
-                .fg_times
-                .get_mut(&nanos)
-                .expect("fg frontier accounting");
-            *count -= 1;
-            if *count == 0 {
-                self.fg_times.remove(&nanos);
-            }
-        }
-    }
-}
-
-/// One group's window advance handed to (or run inline by) a worker: the
-/// group's local queue, its member slots (moved out of the engine roster),
-/// and the exclusive time limit.
-struct GroupJob {
-    group: u32,
-    /// Exclusive bound: the window processes events strictly below it.
-    limit: SimTime,
-    batching: bool,
-    queue: BinaryHeap<Reverse<Scheduled>>,
-    /// `(actor id, slot)` pairs, ascending by id.
-    slots: Vec<(u32, Slot)>,
-    /// Root for deriving RNG streams of actors spawned inside the window.
-    rng_root: DetRng,
-}
-
-/// A window's buffered result, merged back in group order.
-struct GroupOut {
-    group: u32,
-    queue: BinaryHeap<Reverse<Scheduled>>,
-    slots: Vec<(u32, Slot)>,
-    /// Ids of actors installed inside the window.
-    spawned: Vec<u32>,
-    /// Cross-group sends (and halts) for the coordinator to route.
-    effects_out: Vec<Effect>,
-    metrics: Metrics,
-    delivered: u64,
-    /// Max instant this window dispatched.
-    committed: SimTime,
-    /// Instants of foreground events processed / enqueued locally (the
-    /// global frontier bookkeeping happens at merge).
-    fg_processed: Vec<SimTime>,
-    fg_enqueued: Vec<SimTime>,
-}
-
-/// Pool entry point: pooled rounds cannot allocate actor ids, so spawn
-/// (and kill/halt) panic — see [`Ctx::spawn`].
-fn execute_group_job_pooled(job: GroupJob) -> GroupOut {
-    execute_group_job(job, None)
-}
-
-/// Advance one group through its window `[head, limit)` against private
-/// state only (no engine access): pop → coalesce (same instant, same
-/// actor) → deliver, with same-group sends fed straight back into the
-/// local queue and cross-group sends buffered for the coordinator.
-fn execute_group_job(job: GroupJob, next_actor_id: Option<&mut u32>) -> GroupOut {
-    let GroupJob {
-        group,
-        limit,
-        batching,
-        queue,
-        slots,
-        rng_root,
-    } = job;
-    let mut st = JobState {
-        group,
-        queue,
-        slots,
-        rng_root,
-        spawned: Vec::new(),
-        effects_out: Vec::new(),
-        metrics: Metrics::new(),
-        fg_processed: Vec::new(),
-        fg_enqueued: Vec::new(),
-        halted: false,
-    };
-    let mut next_actor_id = next_actor_id;
-    let mut delivered = 0u64;
-    let mut committed = SimTime::ZERO;
-    let mut batch: Vec<Msg> = Vec::new();
-    loop {
-        if st.halted {
-            break;
-        }
-        match st.queue.peek() {
-            Some(Reverse(head)) if head.time < limit => {}
-            _ => break,
-        }
-        let Reverse(ev) = st.queue.pop().expect("peeked");
-        let (time, to) = (ev.time, ev.to);
-        if !ev.background {
-            st.fg_processed.push(time);
-        }
-        batch.clear();
-        batch.push(ev.msg);
-        if batching {
-            while let Some(Reverse(head)) = st.queue.peek() {
-                if head.time != time || head.to != to {
-                    break;
-                }
-                let Reverse(next) = st.queue.pop().expect("peeked");
-                if !next.background {
-                    st.fg_processed.push(time);
-                }
-                batch.push(next.msg);
-            }
-        }
-        committed = time;
-        delivered += batch.len() as u64;
-        st.deliver(to, time, &mut batch, &mut next_actor_id);
-    }
-    GroupOut {
-        group,
-        queue: st.queue,
-        slots: st.slots,
-        spawned: st.spawned,
-        effects_out: st.effects_out,
-        metrics: st.metrics,
-        delivered,
-        committed,
-        fg_processed: st.fg_processed,
-        fg_enqueued: st.fg_enqueued,
-    }
-}
-
-/// Mutable window state for one [`GroupJob`] execution.
-struct JobState {
-    group: u32,
-    queue: BinaryHeap<Reverse<Scheduled>>,
-    slots: Vec<(u32, Slot)>,
-    rng_root: DetRng,
-    spawned: Vec<u32>,
-    effects_out: Vec<Effect>,
-    metrics: Metrics,
-    fg_processed: Vec<SimTime>,
-    fg_enqueued: Vec<SimTime>,
-    halted: bool,
-}
-
-impl JobState {
-    fn slot_pos(&self, id: u32) -> Result<usize, usize> {
-        self.slots.binary_search_by_key(&id, |(i, _)| *i)
-    }
-
-    /// Deliver one coalesced batch, mirroring [`Sim::deliver_batch`].
-    fn deliver(
-        &mut self,
-        to: ActorId,
-        now: SimTime,
-        batch: &mut Vec<Msg>,
-        next_actor_id: &mut Option<&mut u32>,
-    ) {
-        let taken = match self.slot_pos(to.0) {
-            Ok(si) => self.slots[si].1.actor.take().map(|a| (si, a)),
-            Err(_) => None,
-        };
-        let Some((si, mut actor)) = taken else {
-            self.metrics.incr("sim.dropped_messages", batch.len() as u64);
-            batch.clear();
-            return;
-        };
-        {
-            let slot = &mut self.slots[si].1;
-            slot.drain.messages += batch.len() as u64;
-            slot.drain.batches += 1;
-            slot.drain.max_batch = slot.drain.max_batch.max(batch.len() as u64);
-        }
-        if batch.len() > 1 {
-            self.metrics.incr("sim.batch.bursts", 1);
-            self.metrics
-                .incr("sim.batch.coalesced_messages", batch.len() as u64 - 1);
-            self.metrics.set_max("sim.batch.max_size", batch.len() as u64);
-        }
-        let mut rng = self.slots[si].1.rng.clone();
-        let mut send_seq = self.slots[si].1.send_seq;
-        let mut effects = Vec::new();
-        {
-            let mut ctx = Ctx {
-                self_id: to,
-                now,
-                rng: &mut rng,
-                metrics: &mut self.metrics,
-                next_actor_id: next_actor_id.as_deref_mut(),
-                send_seq: &mut send_seq,
-                group: self.group,
-                effects: &mut effects,
-            };
-            if batch.len() == 1 {
-                let msg = batch.pop().expect("one message");
-                actor.on_message(msg, &mut ctx);
-            } else {
-                actor.on_batch(batch, &mut ctx);
-                debug_assert!(batch.is_empty(), "on_batch must drain its input");
-            }
-        }
-        batch.clear();
-        {
-            let slot = &mut self.slots[si].1;
-            slot.rng = rng;
-            slot.send_seq = send_seq;
-            // The actor may have killed itself; reinstate only if nothing
-            // reclaimed the slot, and apply the kill effect after (it wins).
-            if slot.actor.is_none() {
-                slot.actor = Some(actor);
-            }
-        }
-        self.apply(effects, now, next_actor_id);
-    }
-
-    /// Apply a handler's effects inside the window: same-group sends land
-    /// in the local queue, cross-group sends are buffered for the
-    /// coordinator, spawns install into this group (serial rounds only),
-    /// kills must stay in-group.
-    fn apply(&mut self, effects: Vec<Effect>, now: SimTime, next_actor_id: &mut Option<&mut u32>) {
-        for effect in effects {
-            match effect {
-                Effect::Send {
-                    at,
-                    to,
-                    msg,
-                    background,
-                    sent_at,
-                    source,
-                    seq,
-                } => {
-                    if self.slot_pos(to.0).is_ok() {
-                        if !background {
-                            self.fg_enqueued.push(at);
-                        }
-                        self.queue.push(Reverse(Scheduled {
-                            time: at,
-                            sent_at,
-                            source,
-                            seq,
-                            to,
-                            msg,
-                            background,
-                        }));
-                    } else {
-                        self.effects_out.push(Effect::Send {
-                            at,
-                            to,
-                            msg,
-                            background,
-                            sent_at,
-                            source,
-                            seq,
-                        });
-                    }
-                }
-                Effect::Spawn {
-                    id,
-                    label,
-                    actor,
-                    group,
-                } => {
-                    debug_assert_eq!(group, self.group, "children join the spawner's group");
-                    self.install(id, label, actor, now, next_actor_id);
-                }
-                Effect::Kill { id, by_group } => {
-                    let Ok(si) = self.slot_pos(id.0) else {
-                        panic!(
-                            "cross-group Ctx::kill is not supported in horizon mode \
-                             (target {id:?} is outside group #{by_group})"
-                        );
-                    };
-                    self.slots[si].1.actor = None;
-                }
-                Effect::Halt => {
-                    self.halted = true;
-                    self.effects_out.push(Effect::Halt);
-                }
-            }
-        }
-    }
-
-    /// Install a spawned actor mid-window, mirroring [`Sim::install`] (the
-    /// child joins this group at the spawner's committed instant).
-    fn install(
-        &mut self,
-        id: ActorId,
-        label: String,
-        actor: Box<dyn AnyActor>,
-        now: SimTime,
-        next_actor_id: &mut Option<&mut u32>,
-    ) {
-        let pos = match self.slot_pos(id.0) {
-            Ok(_) => unreachable!("actor id reused"),
-            Err(p) => p,
-        };
-        self.slots.insert(
-            pos,
-            (
-                id.0,
-                Slot {
-                    actor: Some(actor),
-                    label,
-                    drain: DrainStats::default(),
-                    rng: self.rng_root.derive(u64::from(id.0)),
-                    send_seq: 0,
-                    group: self.group,
-                },
-            ),
-        );
-        self.spawned.push(id.0);
-        // on_start, mirroring Sim::run_start_hook.
-        let Some(mut actor) = self.slots[pos].1.actor.take() else {
-            return;
-        };
-        let mut rng = self.slots[pos].1.rng.clone();
-        let mut send_seq = self.slots[pos].1.send_seq;
-        let mut effects = Vec::new();
-        {
-            let mut ctx = Ctx {
-                self_id: id,
-                now,
-                rng: &mut rng,
-                metrics: &mut self.metrics,
-                next_actor_id: next_actor_id.as_deref_mut(),
-                send_seq: &mut send_seq,
-                group: self.group,
-                effects: &mut effects,
-            };
-            actor.on_start(&mut ctx);
-        }
-        {
-            let slot = &mut self.slots[pos].1;
-            slot.rng = rng;
-            slot.send_seq = send_seq;
-            if slot.actor.is_none() {
-                slot.actor = Some(actor);
-            }
-        }
-        self.apply(effects, now, next_actor_id);
-    }
-}
-
 /// One wave run handed to a worker: the actor (taken from its slot), its
 /// RNG stream, and its coalesced batch.
 struct WaveJob {
@@ -2108,7 +1043,6 @@ struct WaveJob {
     actor: Box<dyn AnyActor>,
     rng: DetRng,
     send_seq: u64,
-    group: u32,
 }
 
 /// A worker's buffered result: everything the merge step folds back into
@@ -2133,7 +1067,6 @@ fn execute_wave_job(job: WaveJob) -> WaveOut {
         mut actor,
         mut rng,
         mut send_seq,
-        group,
     } = job;
     let delivered = msgs.len();
     let mut effects = Vec::new();
@@ -2146,7 +1079,6 @@ fn execute_wave_job(job: WaveJob) -> WaveOut {
             metrics: &mut metrics,
             next_actor_id: None,
             send_seq: &mut send_seq,
-            group,
             effects: &mut effects,
         };
         if delivered == 1 {
@@ -2175,8 +1107,8 @@ fn execute_wave_job(job: WaveJob) -> WaveOut {
 /// submission index so the coordinator can merge in submission order
 /// regardless of completion order. Worker panics are caught, shipped back,
 /// and re-raised on the coordinator thread so a failing actor behaves like
-/// it does under serial dispatch. Shared by the same-instant wave path
-/// (`WaveJob`) and the horizon round path (`GroupJob`).
+/// it does under serial dispatch. Runs the same-instant waves
+/// (`WaveJob`).
 struct Pool<J: Send + 'static, O: Send + 'static> {
     job_tx: Option<mpsc::Sender<(usize, J)>>,
     out_rx: mpsc::Receiver<std::thread::Result<(usize, O)>>,
@@ -2828,313 +1760,6 @@ mod tests {
             sim.actor::<Worker>(a).unwrap().sum
         }
         assert_eq!(sum_of(false), sum_of(true));
-    }
-
-    /// A relay with a configurable echo delay (local hops are denser than
-    /// cross-group hops, whose delay must honor the declared lookahead).
-    struct Relay {
-        delay: SimDuration,
-        peer: Option<ActorId>,
-        sum: u64,
-    }
-    /// `(payload, remaining hops)`.
-    struct Hop(u64, u32);
-    impl Actor for Relay {
-        fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
-            let h = msg.downcast::<Hop>().unwrap();
-            let draw = ctx.rng().next_below(1_000);
-            self.sum = self.sum.wrapping_add(h.0).wrapping_add(draw);
-            ctx.metrics().incr("relay.msgs", 1);
-            if let (Some(p), 1..) = (self.peer, h.1) {
-                ctx.send_after(self.delay, p, Hop(draw, h.1 - 1));
-            }
-        }
-    }
-
-    /// A barrier-group actor broadcasting *zero-delay* cross-group messages
-    /// on a timer — the FaultController pattern (legal only because barrier
-    /// groups declare zero lookahead to everyone).
-    struct Broadcaster {
-        targets: Vec<ActorId>,
-        rounds: u32,
-    }
-    struct Pulse;
-    impl Actor for Broadcaster {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.schedule_self(SimDuration::from_millis(4), Pulse);
-        }
-        fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
-            if msg.downcast::<Pulse>().is_ok() && self.rounds > 0 {
-                self.rounds -= 1;
-                for t in &self.targets {
-                    ctx.send(*t, Hop(5, 0));
-                }
-                if self.rounds > 0 {
-                    ctx.schedule_self(SimDuration::from_millis(4), Pulse);
-                }
-            }
-        }
-    }
-
-    /// Two 2-actor cluster groups (dense 1 ms local echo, sparse 2 ms
-    /// cross-group hops, lookahead declared accordingly) plus a barrier
-    /// group whose broadcaster injects zero-delay cross-group pulses.
-    /// Fingerprints everything the determinism contract covers.
-    #[allow(clippy::type_complexity)]
-    fn horizon_fingerprint(
-        horizon: bool,
-        threads: usize,
-        until: Option<SimDuration>,
-    ) -> (Vec<u64>, Vec<(String, u64)>, u64, SimTime) {
-        let mut sim = Sim::new(9);
-        sim.set_threads(threads);
-        sim.set_horizon(horizon);
-        let ga = sim.new_group("cluster-a");
-        let gb = sim.new_group("cluster-b");
-        let ctl = sim.new_group("ctl");
-        sim.set_lookahead(ga, gb, SimDuration::from_millis(2));
-        sim.set_lookahead(gb, ga, SimDuration::from_millis(2));
-        sim.set_barrier_group(ctl);
-        let prev = sim.set_default_group(ga);
-        let a0 = sim.spawn(
-            "a0",
-            Relay {
-                delay: SimDuration::from_millis(1),
-                peer: None,
-                sum: 0,
-            },
-        );
-        let a1 = sim.spawn(
-            "a1",
-            Relay {
-                delay: SimDuration::from_millis(2),
-                peer: None,
-                sum: 0,
-            },
-        );
-        sim.set_default_group(gb);
-        let b0 = sim.spawn(
-            "b0",
-            Relay {
-                delay: SimDuration::from_millis(1),
-                peer: None,
-                sum: 0,
-            },
-        );
-        let b1 = sim.spawn(
-            "b1",
-            Relay {
-                delay: SimDuration::from_millis(2),
-                peer: None,
-                sum: 0,
-            },
-        );
-        sim.set_default_group(ctl);
-        sim.spawn(
-            "bcast",
-            Broadcaster {
-                targets: vec![a0, b0],
-                rounds: 6,
-            },
-        );
-        sim.set_default_group(prev);
-        // Ring a0 →1ms a1 →2ms(cross) b0 →1ms b1 →2ms(cross) a0.
-        sim.actor_mut::<Relay>(a0).unwrap().peer = Some(a1);
-        sim.actor_mut::<Relay>(a1).unwrap().peer = Some(b0);
-        sim.actor_mut::<Relay>(b0).unwrap().peer = Some(b1);
-        sim.actor_mut::<Relay>(b1).unwrap().peer = Some(a0);
-        // Same-instant bursts at t=0 exercise coalescing in both modes.
-        for m in 0..4u64 {
-            sim.send(a0, Hop(m, 24));
-            sim.send(b0, Hop(m + 10, 24));
-        }
-        match until {
-            Some(d) => sim.run_until(SimTime::ZERO + d),
-            None => sim.run(),
-        };
-        if horizon {
-            assert!(
-                sim.metrics_ref().counter("sim.horizon.advances") > 0,
-                "horizon mode silently fell back to tie-steps only"
-            );
-        }
-        let sums = [a0, a1, b0, b1]
-            .iter()
-            .map(|id| sim.actor::<Relay>(*id).unwrap().sum)
-            .collect();
-        let counters = sim
-            .metrics_ref()
-            .counters()
-            .filter(|(name, _)| {
-                !name.contains("parallel") && !name.contains("horizon") && !name.contains("batch")
-            })
-            .map(|(n, v)| (n.to_owned(), v))
-            .collect();
-        (sums, counters, sim.events_processed(), sim.now())
-    }
-
-    #[test]
-    fn horizon_bit_identical_to_legacy() {
-        let legacy = horizon_fingerprint(false, 1, None);
-        for threads in [1, 2, 4] {
-            let hz = horizon_fingerprint(true, threads, None);
-            assert_eq!(legacy, hz, "horizon t={threads} diverged from legacy");
-        }
-    }
-
-    #[test]
-    fn horizon_run_until_bit_identical_to_legacy() {
-        let cut = SimDuration::from_millis(7);
-        let legacy = horizon_fingerprint(false, 1, Some(cut));
-        for threads in [1, 4] {
-            let hz = horizon_fingerprint(true, threads, Some(cut));
-            assert_eq!(legacy, hz, "horizon t={threads} diverged under run_until");
-        }
-    }
-
-    #[test]
-    fn horizon_single_group_matches_legacy() {
-        // No groups declared: everything in group 0; the scheduler must
-        // degrade to windows + tie-steps with identical results.
-        fn run(horizon: bool) -> (Vec<u64>, u64, SimTime) {
-            let serial = wave_fingerprint(1, 6);
-            let mut sim = Sim::new(7);
-            sim.set_horizon(horizon);
-            let ids: Vec<ActorId> = (0..6)
-                .map(|i| sim.spawn(format!("w{i}"), Worker { sum: 0, peer: None }))
-                .collect();
-            for (i, id) in ids.iter().enumerate() {
-                let peer = ids[(i + 1) % 6];
-                sim.actor_mut::<Worker>(*id).unwrap().peer = Some(peer);
-            }
-            for id in &ids {
-                for m in 0..8u64 {
-                    sim.send(*id, Work(m, 3));
-                }
-            }
-            sim.run();
-            let sums: Vec<u64> = ids
-                .iter()
-                .map(|id| sim.actor::<Worker>(*id).unwrap().sum)
-                .collect();
-            assert_eq!(sums, serial.0, "must match the wave fixture too");
-            (sums, sim.events_processed(), sim.now())
-        }
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn spawn_mid_advance_joins_spawners_group() {
-        struct WindowSpawner {
-            child: Option<ActorId>,
-        }
-        struct Go;
-        impl Actor for WindowSpawner {
-            fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
-                if msg.downcast::<Go>().is_ok() {
-                    let child = ctx.spawn(
-                        "child",
-                        Counter {
-                            count: 0,
-                            echo_to: None,
-                        },
-                    );
-                    self.child = Some(child);
-                    // Same-group zero-delay send: handled inside the window.
-                    ctx.send(child, Bump(7));
-                    ctx.send_after(SimDuration::from_millis(1), child, Bump(2));
-                }
-            }
-        }
-        let mut sim = Sim::new(0);
-        sim.set_horizon(true);
-        let ga = sim.new_group("a");
-        let gb = sim.new_group("b");
-        sim.set_lookahead(ga, gb, SimDuration::from_millis(5));
-        sim.set_lookahead(gb, ga, SimDuration::from_millis(5));
-        let prev = sim.set_default_group(ga);
-        let s = sim.spawn("spawner", WindowSpawner { child: None });
-        sim.set_default_group(gb);
-        let other = sim.spawn(
-            "other",
-            Counter {
-                count: 0,
-                echo_to: None,
-            },
-        );
-        sim.set_default_group(prev);
-        // The spawner's 1 ms event sits strictly below both the far
-        // foreground frontier and group b's head + lookahead, so it is
-        // processed inside a window advance, not a tie-step.
-        sim.send_after(SimDuration::from_millis(1), s, Go);
-        sim.send_after(SimDuration::from_millis(20), other, Bump(1));
-        sim.run();
-        assert!(sim.metrics_ref().counter("sim.horizon.advances") > 0);
-        let child = sim.actor::<WindowSpawner>(s).unwrap().child.unwrap();
-        assert_eq!(sim.actor_group(child), ga, "child joins the spawner's group");
-        assert_eq!(sim.actor::<Counter>(child).unwrap().count, 9);
-        assert_eq!(sim.actor::<Counter>(other).unwrap().count, 1);
-    }
-
-    #[test]
-    fn cross_group_kill_panics_in_horizon_mode() {
-        struct Killer {
-            victim: ActorId,
-        }
-        struct Go;
-        impl Actor for Killer {
-            fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
-                if msg.downcast::<Go>().is_ok() {
-                    ctx.kill(self.victim);
-                }
-            }
-        }
-        let mut sim = Sim::new(0);
-        sim.set_horizon(true);
-        let ga = sim.new_group("a");
-        let gb = sim.new_group("b");
-        let prev = sim.set_default_group(gb);
-        let victim = sim.spawn(
-            "victim",
-            Counter {
-                count: 0,
-                echo_to: None,
-            },
-        );
-        sim.set_default_group(ga);
-        let k = sim.spawn("killer", Killer { victim });
-        sim.set_default_group(prev);
-        sim.send(k, Go);
-        let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            sim.run();
-        }));
-        assert!(panicked.is_err(), "cross-group kill must panic loudly");
-    }
-
-    #[test]
-    fn horizon_halt_stops_and_preserves_queue_handback() {
-        struct Halter;
-        struct Now;
-        impl Actor for Halter {
-            fn on_message(&mut self, _msg: Msg, ctx: &mut Ctx<'_>) {
-                ctx.halt();
-            }
-        }
-        let mut sim = Sim::new(0);
-        sim.set_horizon(true);
-        let h = sim.spawn("halter", Halter);
-        let c = sim.spawn(
-            "c",
-            Counter {
-                count: 0,
-                echo_to: None,
-            },
-        );
-        sim.send(h, Now);
-        sim.send_after(SimDuration::from_secs(1), c, Bump(1));
-        sim.run();
-        assert_eq!(sim.actor::<Counter>(c).unwrap().count, 0, "halt preempted");
-        assert_eq!(sim.queue_len(), 1, "undelivered event handed back");
     }
 
     #[test]

@@ -483,18 +483,8 @@ impl FaultController {
 
     /// Spawn a controller into `sim` and send it [`StartFaults`] so the
     /// schedule begins at the current instant. Returns the controller's id.
-    ///
-    /// The controller lives in its own **barrier group**: it declares zero
-    /// lookahead to every other group, so under the horizon scheduler no
-    /// group advances past the next scheduled firing and every zero-delay
-    /// injection lands at exactly the instant it would under the legacy
-    /// engine (see docs/ENGINE.md).
     pub fn deploy(sim: &mut Sim, schedule: FaultSchedule, hook: FaultHook) -> ActorId {
-        let group = sim.new_group("faults");
-        sim.set_barrier_group(group);
-        let prev = sim.set_default_group(group);
         let id = sim.spawn("fault-controller", FaultController::new(schedule, hook));
-        sim.set_default_group(prev);
         sim.send(id, StartFaults);
         id
     }

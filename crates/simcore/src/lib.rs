@@ -72,7 +72,7 @@ pub mod rng;
 pub mod time;
 
 pub use bytesize::{format_bytes, parse_bytes, ByteSize};
-pub use engine::{Actor, ActorId, Concurrency, Ctx, GroupId, Msg, Sim};
+pub use engine::{Actor, ActorId, Concurrency, Ctx, Msg, Sim};
 pub use faults::{
     ChaosProfile, FaultAction, FaultController, FaultEvent, FaultHook, FaultKind, FaultSchedule,
     StartFaults,
@@ -85,7 +85,7 @@ pub use time::{SimDuration, SimTime};
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::bytesize::{format_bytes, ByteSize};
-    pub use crate::engine::{Actor, ActorId, Ctx, GroupId, Msg, Sim};
+    pub use crate::engine::{Actor, ActorId, Ctx, Msg, Sim};
     pub use crate::faults::{
         FaultAction, FaultController, FaultEvent, FaultKind, FaultSchedule, StartFaults,
     };

@@ -24,12 +24,6 @@ pub const SIM_BATCH_COALESCED: &str = "sim.batch.coalesced_messages";
 pub const SIM_BATCH_MAX_SIZE: &str = "sim.batch.max_size";
 /// Messages dropped because their destination actor was dead.
 pub const SIM_DROPPED_MESSAGES: &str = "sim.dropped_messages";
-/// Horizon-scheduler lookahead advances taken.
-pub const SIM_HORIZON_ADVANCES: &str = "sim.horizon.advances";
-/// Horizon-scheduler rounds executed.
-pub const SIM_HORIZON_ROUNDS: &str = "sim.horizon.rounds";
-/// Horizon rounds that fell back to single-event steps on a timestamp tie.
-pub const SIM_HORIZON_TIE_STEPS: &str = "sim.horizon.tie_steps";
 /// Concurrent-wave executions (each wave runs many actors in parallel).
 pub const SIM_PARALLEL_WAVES: &str = "sim.parallel.waves";
 /// Actor runs that executed inside a parallel wave.
@@ -195,9 +189,6 @@ pub const ALL: &[&str] = &[
     SIM_BATCH_COALESCED,
     SIM_BATCH_MAX_SIZE,
     SIM_DROPPED_MESSAGES,
-    SIM_HORIZON_ADVANCES,
-    SIM_HORIZON_ROUNDS,
-    SIM_HORIZON_TIE_STEPS,
     SIM_PARALLEL_WAVES,
     SIM_PARALLEL_WAVE_RUNS,
     FAULT_INJECTED,
@@ -307,8 +298,8 @@ mod tests {
 
     #[test]
     fn membership_helpers() {
-        assert!(is_registered("sim.horizon.rounds"));
-        assert!(!is_registered("sim.horizon.rouds"));
+        assert!(is_registered("sim.parallel.waves"));
+        assert!(!is_registered("sim.parallel.wavs"));
         assert_eq!(
             unregistered(["ndn.cs_hits", "nope.a", "nope.a", "fault.healed"]),
             vec!["nope.a".to_string()]

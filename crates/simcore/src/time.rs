@@ -26,26 +26,9 @@ impl SimTime {
     /// The origin of virtual time.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// The far-future sentinel: no representable instant is later. Used by
-    /// the horizon scheduler as the "no constraint" bound.
-    pub const MAX: SimTime = SimTime(u64::MAX);
-
     /// Construct from raw nanoseconds since simulation start.
     pub const fn from_nanos(n: u64) -> Self {
         SimTime(n)
-    }
-
-    /// The immediately following instant (one nanosecond later), saturating
-    /// at [`SimTime::MAX`]. The horizon scheduler uses this to turn an
-    /// inclusive deadline into an exclusive window bound.
-    pub const fn next_instant(self) -> SimTime {
-        SimTime(self.0.saturating_add(1))
-    }
-
-    /// Add a duration, saturating at [`SimTime::MAX`] instead of panicking
-    /// (lookahead arithmetic routinely adds to far-future horizons).
-    pub const fn saturating_add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(rhs.0))
     }
 
     /// Nanoseconds since simulation start.

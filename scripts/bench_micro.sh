@@ -65,16 +65,6 @@ doc["parallel_config"] = {
     "forwarder_shards": [1, 4],
     "host_usable_cpus": host_cpus,
 }
-# Ditto for the horizon-scheduler group (engine/horizon/{multi_cluster,t1,t4}):
-# multi_cluster is the legacy-loop reference on the same 3-cluster pass; the
-# t{N} rows run the conservative horizon scheduler. On a 1-CPU host the
-# pooled group-advance path is skipped, so t1/t4 measure pure window
-# bookkeeping, not parallel speedup.
-doc["horizon"] = {
-    "reference": "engine/horizon/multi_cluster",
-    "engine_threads": [1, 4],
-    "host_usable_cpus": host_cpus,
-}
 with open(merged_path, "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")

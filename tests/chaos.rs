@@ -297,17 +297,13 @@ fn lidc_beats_baseline_under_identical_fault_schedule() {
 /// Scenario 5: chaos is deterministic. The same seed + schedule must
 /// produce byte-identical outcomes (counts, p99, wasted work, fault
 /// timeline) at 1 and 4 worker threads, with 1- and 4-way-sharded
-/// forwarder tables, under the horizon scheduler, and across repeat runs.
+/// forwarder tables, and across repeat runs.
 #[test]
-fn chaos_outcome_identical_across_threads_shards_horizon_and_reruns() {
+fn chaos_outcome_identical_across_threads_shards_and_reruns() {
     let serial = ChaosConfig::standard(777);
     let mut wide = serial.clone();
     wide.threads = 4;
     wide.shards = 4;
-    let mut hz = serial.clone();
-    hz.horizon_mode = true;
-    let mut hz_wide = wide.clone();
-    hz_wide.horizon_mode = true;
 
     let lidc_serial = run_lidc_chaos(&serial);
     let lidc_wide = run_lidc_chaos(&wide);
@@ -318,16 +314,6 @@ fn chaos_outcome_identical_across_threads_shards_horizon_and_reruns() {
         "LIDC chaos outcome depends on thread/shard count"
     );
     assert_eq!(lidc_serial.fingerprint(), lidc_again.fingerprint());
-    assert_eq!(
-        lidc_serial.fingerprint(),
-        run_lidc_chaos(&hz).fingerprint(),
-        "LIDC chaos outcome depends on the engine mode (horizon, serial)"
-    );
-    assert_eq!(
-        lidc_serial.fingerprint(),
-        run_lidc_chaos(&hz_wide).fingerprint(),
-        "LIDC chaos outcome depends on the engine mode (horizon, 4 threads)"
-    );
 
     let base_serial = run_baseline_chaos(&serial);
     let base_wide = run_baseline_chaos(&wide);
@@ -335,11 +321,6 @@ fn chaos_outcome_identical_across_threads_shards_horizon_and_reruns() {
         base_serial.fingerprint(),
         base_wide.fingerprint(),
         "baseline chaos outcome depends on thread/shard count"
-    );
-    assert_eq!(
-        base_serial.fingerprint(),
-        run_baseline_chaos(&hz).fingerprint(),
-        "baseline chaos outcome depends on the engine mode"
     );
 }
 
@@ -397,21 +378,17 @@ fn generated_schedules_are_deterministic_across_threads_and_shards() {
         cfg.horizon = SimDuration::from_mins(30);
 
         let mut fingerprints = Vec::new();
-        for (threads, shards, horizon_mode) in
-            [(1, 1, false), (1, 4, false), (4, 1, false), (4, 4, false), (1, 1, true), (4, 4, true)]
-        {
+        for (threads, shards) in [(1, 1), (1, 4), (4, 1), (4, 4)] {
             let mut c = cfg.clone();
             c.threads = threads;
             c.shards = shards;
-            c.horizon_mode = horizon_mode;
-            fingerprints.push((threads, shards, horizon_mode, run_lidc_chaos(&c).fingerprint()));
+            fingerprints.push((threads, shards, run_lidc_chaos(&c).fingerprint()));
         }
-        let (_, _, _, reference) = &fingerprints[0];
-        for (threads, shards, horizon_mode, fp) in &fingerprints {
+        let (_, _, reference) = &fingerprints[0];
+        for (threads, shards, fp) in &fingerprints {
             assert_eq!(
                 fp, reference,
-                "seed {seed:#x}: outcome at {threads} threads / {shards} shards \
-                 (horizon: {horizon_mode}) diverged"
+                "seed {seed:#x}: outcome at {threads} threads / {shards} shards diverged"
             );
         }
     }
@@ -491,24 +468,21 @@ fn duplicate_submissions_share_a_name_and_all_terminate() {
 }
 
 /// Run the LIDC world across the full engine matrix — 1/4 worker threads ×
-/// 1/4-way-sharded forwarders × legacy/horizon scheduler — and demand
-/// bit-identical fingerprints. Returns the reference outcome.
+/// 1/4-way-sharded forwarders — and demand bit-identical fingerprints.
+/// Returns the reference outcome.
 fn lidc_across_engine_matrix(cfg: &ChaosConfig) -> lidc::baseline::chaos::ChaosOutcome {
     let mut reference = None;
-    for (threads, shards, horizon_mode) in
-        [(1, 1, false), (1, 4, false), (4, 1, false), (4, 4, false), (1, 1, true), (4, 4, true)]
-    {
+    for (threads, shards) in [(1, 1), (1, 4), (4, 1), (4, 4)] {
         let mut c = cfg.clone();
         c.threads = threads;
         c.shards = shards;
-        c.horizon_mode = horizon_mode;
         let outcome = run_lidc_chaos(&c);
         match &reference {
             None => reference = Some(outcome),
             Some(r) => assert_eq!(
                 outcome.fingerprint(),
                 r.fingerprint(),
-                "outcome at {threads} threads / {shards} shards (horizon: {horizon_mode}) diverged"
+                "outcome at {threads} threads / {shards} shards diverged"
             ),
         }
     }
