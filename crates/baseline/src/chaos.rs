@@ -77,8 +77,6 @@ pub struct ChaosConfig {
     pub schedule: FaultSchedule,
     /// Worker threads for the sim (outcomes must not depend on this).
     pub threads: usize,
-    /// PIT/CS shard count for every forwarder (ditto).
-    pub shards: usize,
     /// Gap between successive job submissions.
     pub submit_spacing: SimDuration,
     /// Hard stop for the run.
@@ -125,7 +123,6 @@ impl ChaosConfig {
             nodes_per_cluster: 2,
             schedule,
             threads: 1,
-            shards: 1,
             submit_spacing: SimDuration::from_secs(10),
             horizon: SimDuration::from_mins(60),
         }
@@ -232,7 +229,7 @@ impl ChaosOutcome {
     /// A deterministic digest of everything observable: counts, latency,
     /// wasted work and the full fault timeline. Two runs of the same
     /// config must produce byte-identical fingerprints regardless of
-    /// thread count or shard count.
+    /// thread count.
     pub fn fingerprint(&self) -> String {
         format!(
             "{} submitted={} completed={} failed={} resubmits={} p99={:?} \
@@ -380,18 +377,16 @@ fn degrade(
 
 /// The poisoned-cache invariant: **no** forwarder may hold Data that
 /// fails signature verification, no matter what byzantine producers or
-/// bit-flipping links did during the run. Asserted over every shard of
-/// every listed forwarder's Content Store after each chaos run.
+/// bit-flipping links did during the run. Asserted over every listed
+/// forwarder's Content Store after each chaos run.
 pub fn assert_no_poisoned_cache(sim: &Sim, forwarders: &[(String, ActorId)]) {
     for (label, id) in forwarders {
         let fwd = sim.actor::<Forwarder>(*id).expect("forwarder");
-        for shard in fwd.cs().shards() {
-            for (name, data) in shard.entries() {
-                assert!(
-                    data.verify(None),
-                    "unverifiable Data cached in {label}'s Content Store: {name}"
-                );
-            }
+        for (name, data) in fwd.cs().entries() {
+            assert!(
+                data.verify(None),
+                "unverifiable Data cached in {label}'s Content Store: {name}"
+            );
         }
     }
 }
@@ -422,7 +417,6 @@ pub fn run_lidc_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
                 ClusterSpec::new(name.clone(), *latency).with_nodes(cfg.nodes_per_cluster, 16, 64)
             })
             .collect(),
-        forwarder_shards: cfg.shards.max(1),
         // The generic chaos job needs no lake input; the baseline world
         // loads no datasets either.
         load_datasets: false,
@@ -540,10 +534,7 @@ pub fn run_baseline_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     let alloc = FaceIdAlloc::new();
     let router = sim.spawn(
         "router",
-        Forwarder::new("router", ForwarderConfig {
-            shards: cfg.shards.max(1),
-            ..Default::default()
-        }),
+        Forwarder::new("router", ForwarderConfig::default()),
     );
     let controller =
         CentralController::new(CentralPolicy::RoundRobin).deploy(&mut sim, router, &alloc);

@@ -70,14 +70,11 @@ fn build_world(args: &Args) -> Result<(Sim, Overlay, ActorId), String> {
         "cs-budget-bytes",
         lidc_ndn::tables::cs::default_budget_bytes(router_cs_capacity),
     )?;
-    // Forwarder table sharding (1 = single-shard tables, serial ingress).
-    let forwarder_shards = args.get_u64("forwarder-shards", 1)?.max(1) as usize;
     let overlay = Overlay::build(&mut sim, OverlayConfig {
         placement: placement(args)?,
         clusters: cluster_specs(args)?,
         router_cs_capacity,
         router_cs_budget_bytes,
-        forwarder_shards,
         ..defaults
     });
     let alloc = overlay.alloc.clone();
@@ -309,7 +306,6 @@ pub fn chaos(args: &Args) -> CmdResult {
     cfg.jobs = u32::try_from(args.get_u64("jobs", u64::from(cfg.jobs))?)
         .map_err(|_| "--jobs out of range".to_owned())?;
     cfg.threads = usize::try_from(args.get_u64("threads", 1)?).unwrap_or(1);
-    cfg.shards = usize::try_from(args.get_u64("forwarder-shards", 1)?).unwrap_or(1);
     println!("fault schedule (seed {seed}):");
     for event in cfg.schedule.events() {
         println!("  {event}");
@@ -344,7 +340,7 @@ COMMANDS
   catalog     list the datasets a deployed cluster publishes [--limit N]
   topology    show overlay members, latencies and routed prefixes
   chaos       LIDC vs centralized baseline under one deterministic fault
-              schedule [--jobs N] [--threads N] [--forwarder-shards N]
+              schedule [--jobs N] [--threads N]
               [--schedule standard|byzantine|region-outage]
   experiment  list the table/figure reproduction harnesses
   help        this text
@@ -357,8 +353,6 @@ COMMON FLAGS
   --cs-budget-bytes N       access-router Content Store byte budget
                             (default capacity x 1 MiB; 0 = no byte limit)
   --threads N               engine workers for parallel same-instant dispatch
-                            (default 1 = serial; results identical at any N)
-  --forwarder-shards N      PIT/CS/DNL shards per forwarder (default 1; >1
-                            enables the two-phase parallel burst ingress)"
+                            (default 1 = serial; results identical at any N)"
     );
 }

@@ -2,7 +2,7 @@
 //!
 //! The LIDC workspace's central claim is a determinism contract:
 //! bit-identical schedules, metrics, and chaos fingerprints for a fixed
-//! seed at any thread count and shard width. That contract is enforced by
+//! seed at any thread count. That contract is enforced by
 //! convention (BTreeMap by default, per-actor `DetRng` streams, seeded
 //! `FaultSchedule::generate`) — and conventions erode. This crate is the
 //! tool that makes the convention checkable on every commit: a hand-rolled

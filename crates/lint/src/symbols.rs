@@ -614,7 +614,7 @@ fn bump_depth_at(toks: &[Tok], i: usize, depth: &mut i32) {
 
 /// Base type ident of a type token window: skips references, `mut`,
 /// `dyn`/`impl`, lifetimes; resolves the path's **last** segment before any
-/// generic arguments (`tables::shard::ShardedPit<K>` → `ShardedPit`,
+/// generic arguments (`tables::cs::ContentStore<K>` → `ContentStore`,
 /// `&mut Ctx<'_>` → `Ctx`, `Arc<RwLock<T>>` → `Arc`).
 pub fn base_ty_of(toks: &[Tok], win: &[usize]) -> Option<String> {
     let mut last: Option<String> = None;

@@ -29,7 +29,7 @@
 //! Concurrent actors must not spawn/kill/halt in handlers (panics) nor
 //! write state shared with other Concurrent actors. Real parallelism is
 //! likewise used where real computation happens (the genomics aligner
-//! kernel, the forwarder's sharded burst ingress).
+//! kernel).
 //!
 //! ## Example
 //!

@@ -52,17 +52,16 @@ for m in raw:
     if base and m["median_ns"] > 0 and m["min_ns"] > 0:
         doc.setdefault("speedup_median", {})[m["id"]] = round(base["median_ns"] / m["median_ns"], 2)
         doc.setdefault("speedup_min", {})[m["id"]] = round(base["min_ns"] / m["min_ns"], 2)
-# Record the parallel configuration behind the thread/shard-suffixed bench
-# ids (engine/parallel_dispatch/t{N}, burst/parallel_ingress/shards{N})
-# plus the cores the host actually allowed — a 1-CPU container cannot show
-# multi-core speedups, and the trajectory must say so.
+# Record the parallel configuration behind the thread-suffixed bench ids
+# (engine/parallel_dispatch/t{N}) plus the cores the host actually
+# allowed — a 1-CPU container cannot show multi-core speedups, and the
+# trajectory must say so.
 try:
     host_cpus = len(os.sched_getaffinity(0))
 except AttributeError:
     host_cpus = os.cpu_count() or 1
 doc["parallel_config"] = {
     "engine_threads": [1, 4],
-    "forwarder_shards": [1, 4],
     "host_usable_cpus": host_cpus,
 }
 with open(merged_path, "w") as f:

@@ -4,15 +4,13 @@
 //!
 //! 1. sequential — batching off, every message through `on_message`;
 //! 2. batched — engine `on_batch` coalescing + forwarder wire batching +
-//!    the gateway's amortized batch handlers (threads 1, shards 1);
+//!    the gateway's amortized batch handlers (threads 1);
 //! 3. batched + parallel — engine waves over distinct Concurrent actors
-//!    (2 and 4 worker threads) *and* 4-way name-hash-sharded forwarder
-//!    tables with the two-phase parallel burst ingress.
+//!    (2 and 4 worker threads).
 //!
 //! This is the safety net for the batching and parallel-dispatch
-//! refactors: any ordering bug in burst coalescing, the per-link flush,
-//! wave effect/metric merging, shard routing, or the phased ingress shows
-//! up as a divergence here.
+//! refactors: any ordering bug in burst coalescing, the per-link flush, or
+//! wave effect/metric merging shows up as a divergence here.
 
 use std::collections::BTreeMap;
 
@@ -54,7 +52,6 @@ impl Actor for Sink {
 struct Mode {
     batching: bool,
     threads: usize,
-    shards: usize,
 }
 
 /// End-state fingerprint of one run.
@@ -72,8 +69,9 @@ struct Fingerprint {
     gateway_stats: String,
 }
 
-/// Interests per client forwarder. Over the forwarder's parallel-ingress
-/// threshold (64) so mode 3 genuinely takes the threaded shard phase.
+/// Interests per client forwarder, all sent at one instant: each client
+/// forwarder takes its burst as one batch, and with threads > 1 the two
+/// clients' batches run as one engine wave.
 const BURST: u32 = 72;
 
 fn send_burst(sim: &mut Sim, fwd: ActorId, face: lidc_ndn::face::FaceId, tag_base: u32) {
@@ -120,17 +118,15 @@ fn run(mode: Mode) -> Fingerprint {
         // Result cache on: a compute whose key a same-instant neighbor
         // populated must hit (or miss) identically in every mode.
         result_cache_capacity: 8,
-        forwarder_shards: mode.shards,
         ..LidcClusterConfig::named("eq")
     });
     // Two client forwarders receiving same-instant bursts: with threads > 1
     // their runs execute as one engine wave (both are Concurrent actors).
-    let fwd_config = ForwarderConfig::default().with_shards(mode.shards);
     let mut clients = Vec::new();
     for c in 0..2 {
         let client_fwd = sim.spawn(
             format!("client-fwd-{c}"),
-            Forwarder::new(format!("client-fwd-{c}"), fwd_config.clone()),
+            Forwarder::new(format!("client-fwd-{c}"), ForwarderConfig::default()),
         );
         let (to_gw, _) = connect(
             &mut sim,
@@ -207,7 +203,6 @@ fn run(mode: Mode) -> Fingerprint {
         (
             f.cs()
                 .names()
-                .into_iter()
                 .map(|n| n.to_uri())
                 .collect::<Vec<_>>(),
             f.pit().len(),
@@ -227,12 +222,10 @@ fn sequential_batched_and_parallel_dispatch_agree() {
     let sequential = run(Mode {
         batching: false,
         threads: 1,
-        shards: 1,
     });
     let batched = run(Mode {
         batching: true,
         threads: 1,
-        shards: 1,
     });
     assert!(!sequential.replies.is_empty());
     assert_eq!(sequential.replies, batched.replies, "reply sets diverge (batched)");
@@ -244,19 +237,18 @@ fn sequential_batched_and_parallel_dispatch_agree() {
         let parallel = run(Mode {
             batching: true,
             threads,
-            shards: 4,
         });
         assert_eq!(
             sequential.replies, parallel.replies,
-            "reply sets diverge (threads={threads}, shards=4)"
+            "reply sets diverge (threads={threads})"
         );
         assert_eq!(
             sequential.counters, parallel.counters,
-            "metrics diverge (threads={threads}, shards=4)"
+            "metrics diverge (threads={threads})"
         );
         assert_eq!(
             sequential.tables, parallel.tables,
-            "CS/PIT end-state diverges (threads={threads}, shards=4)"
+            "CS/PIT end-state diverges (threads={threads})"
         );
         assert_eq!(sequential.gateway_stats, parallel.gateway_stats);
     }
@@ -312,13 +304,12 @@ fn batched_path_actually_batched() {
 
 #[test]
 fn parallel_paths_actually_exercised() {
-    // Guard for mode 3 of the equivalence test: with threads > 1 and
-    // shards > 1 the run must register engine waves *and* threaded
-    // forwarder ingress runs, or the three-way comparison proves nothing.
+    // Guard for mode 3 of the equivalence test: with threads > 1 the run
+    // must register engine waves, or the three-way comparison proves
+    // nothing.
     let mode = Mode {
         batching: true,
         threads: 4,
-        shards: 4,
     };
     let mut sim = Sim::new(99);
     sim.set_batching(mode.batching);
@@ -327,15 +318,13 @@ fn parallel_paths_actually_exercised() {
     let cluster = LidcCluster::deploy(&mut sim, &alloc, LidcClusterConfig {
         nodes: 2,
         load_datasets: false,
-        forwarder_shards: mode.shards,
         ..LidcClusterConfig::named("eq3")
     });
-    let fwd_config = ForwarderConfig::default().with_shards(mode.shards);
     let mut clients = Vec::new();
     for c in 0..2 {
         let client_fwd = sim.spawn(
             format!("client-fwd-{c}"),
-            Forwarder::new(format!("client-fwd-{c}"), fwd_config.clone()),
+            Forwarder::new(format!("client-fwd-{c}"), ForwarderConfig::default()),
         );
         let (to_gw, _) = connect(
             &mut sim,
@@ -355,10 +344,6 @@ fn parallel_paths_actually_exercised() {
     sim.run_until(sim.now() + SimDuration::from_millis(100));
     let m = sim.metrics_ref();
     assert!(m.counter("sim.parallel.waves") > 0, "engine ran parallel waves");
-    assert!(
-        m.counter("ndn.parallel.runs") > 0,
-        "forwarders ran threaded shard phases"
-    );
     for (_, sink, _) in &clients {
         assert!(!sim.actor::<Sink>(*sink).unwrap().replies.is_empty());
     }

@@ -13,8 +13,7 @@
 //! 4. LIDC vs the centralized baseline under the *same* fault schedule →
 //!    LIDC completes at least as many jobs;
 //! 5. the whole chaos run is deterministic: same seed + schedule at 1 and
-//!    4 worker threads (and 4-way sharded forwarders) → identical
-//!    outcomes, metrics, and fault timelines;
+//!    4 worker threads → identical outcomes, metrics, and fault timelines;
 //! 6. generated random schedules (all fault families, including byzantine
 //!    producers and region outages) replay bit-identically;
 //! 7. duplicate submissions share one Interest and all terminate;
@@ -296,14 +295,12 @@ fn lidc_beats_baseline_under_identical_fault_schedule() {
 
 /// Scenario 5: chaos is deterministic. The same seed + schedule must
 /// produce byte-identical outcomes (counts, p99, wasted work, fault
-/// timeline) at 1 and 4 worker threads, with 1- and 4-way-sharded
-/// forwarder tables, and across repeat runs.
+/// timeline) at 1 and 4 worker threads and across repeat runs.
 #[test]
 fn chaos_outcome_identical_across_threads_shards_and_reruns() {
     let serial = ChaosConfig::standard(777);
     let mut wide = serial.clone();
     wide.threads = 4;
-    wide.shards = 4;
 
     let lidc_serial = run_lidc_chaos(&serial);
     let lidc_wide = run_lidc_chaos(&wide);
@@ -311,7 +308,7 @@ fn chaos_outcome_identical_across_threads_shards_and_reruns() {
     assert_eq!(
         lidc_serial.fingerprint(),
         lidc_wide.fingerprint(),
-        "LIDC chaos outcome depends on thread/shard count"
+        "LIDC chaos outcome depends on thread count"
     );
     assert_eq!(lidc_serial.fingerprint(), lidc_again.fingerprint());
 
@@ -320,17 +317,16 @@ fn chaos_outcome_identical_across_threads_shards_and_reruns() {
     assert_eq!(
         base_serial.fingerprint(),
         base_wide.fingerprint(),
-        "baseline chaos outcome depends on thread/shard count"
+        "baseline chaos outcome depends on thread count"
     );
 }
 
 /// Scenario 6: *generated* random schedules, not just the hand-written
 /// one. Each seed draws a fresh fault mix through
 /// [`FaultSchedule::generate`] from a dedicated RNG stream; the run must
-/// still be bit-identical across 1/4 worker threads × 1/4-way-sharded
-/// forwarders. This is what lets CI throw a different storm at every
-/// scenario without ever producing an unreproducible failure: any red run
-/// replays exactly from its seed.
+/// still be bit-identical across 1 and 4 worker threads. This is what lets
+/// CI throw a different storm at every scenario without ever producing an
+/// unreproducible failure: any red run replays exactly from its seed.
 #[test]
 fn generated_schedules_are_deterministic_across_threads_and_shards() {
     for seed in [0xC0FFEE_u64, 31_337] {
@@ -378,17 +374,16 @@ fn generated_schedules_are_deterministic_across_threads_and_shards() {
         cfg.horizon = SimDuration::from_mins(30);
 
         let mut fingerprints = Vec::new();
-        for (threads, shards) in [(1, 1), (1, 4), (4, 1), (4, 4)] {
+        for threads in [1, 4] {
             let mut c = cfg.clone();
             c.threads = threads;
-            c.shards = shards;
-            fingerprints.push((threads, shards, run_lidc_chaos(&c).fingerprint()));
+            fingerprints.push((threads, run_lidc_chaos(&c).fingerprint()));
         }
-        let (_, _, reference) = &fingerprints[0];
-        for (threads, shards, fp) in &fingerprints {
+        let (_, reference) = &fingerprints[0];
+        for (threads, fp) in &fingerprints {
             assert_eq!(
                 fp, reference,
-                "seed {seed:#x}: outcome at {threads} threads / {shards} shards diverged"
+                "seed {seed:#x}: outcome at {threads} threads diverged"
             );
         }
     }
@@ -467,22 +462,20 @@ fn duplicate_submissions_share_a_name_and_all_terminate() {
     );
 }
 
-/// Run the LIDC world across the full engine matrix — 1/4 worker threads ×
-/// 1/4-way-sharded forwarders — and demand bit-identical fingerprints.
-/// Returns the reference outcome.
+/// Run the LIDC world across the engine matrix — 1 and 4 worker threads —
+/// and demand bit-identical fingerprints. Returns the reference outcome.
 fn lidc_across_engine_matrix(cfg: &ChaosConfig) -> lidc::baseline::chaos::ChaosOutcome {
     let mut reference = None;
-    for (threads, shards) in [(1, 1), (1, 4), (4, 1), (4, 4)] {
+    for threads in [1, 4] {
         let mut c = cfg.clone();
         c.threads = threads;
-        c.shards = shards;
         let outcome = run_lidc_chaos(&c);
         match &reference {
             None => reference = Some(outcome),
             Some(r) => assert_eq!(
                 outcome.fingerprint(),
                 r.fingerprint(),
-                "outcome at {threads} threads / {shards} shards diverged"
+                "outcome at {threads} threads diverged"
             ),
         }
     }
@@ -495,8 +488,8 @@ fn lidc_across_engine_matrix(cfg: &ChaosConfig) -> lidc::baseline::chaos::ChaosO
 /// it can satisfy a PIT entry or enter a Content Store, the clients'
 /// resubmission path must steer the whole job stream to the honest
 /// clusters, and the run must stay bit-identical across the engine matrix.
-/// (`run_lidc_chaos` additionally scans every forwarder's CS shard for
-/// unverifiable Data after the run.)
+/// (`run_lidc_chaos` additionally scans every forwarder's Content Store
+/// for unverifiable Data after the run.)
 #[test]
 fn byzantine_producer_is_contained_and_lidc_still_completes() {
     let cfg = ChaosConfig::byzantine(4242);
